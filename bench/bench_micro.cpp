@@ -194,13 +194,14 @@ void run_kernel_suite(const char* path) {
 
 // --- par_scaling suite ------------------------------------------------------
 
-/// Thread-scaling suite over the end-to-end parallel paths: par_optimize,
-/// par_mch+par_map_lut, CEC and random simulation on the 64-bit multiplier
-/// at 1/2/4/8 threads.  One JSON line per (bench, threads) pair carrying
-/// seconds, speedup vs the run's own 1-thread time, a determinism check
-/// against the 1-thread result, and the machine's hardware concurrency
-/// (committed baselines from small machines are flagged, not trusted).
-/// MCS_PAR_BENCH_BITS shrinks the multiplier for CI smoke runs.
+/// Thread-scaling suite over the end-to-end parallel paths: sharded
+/// compress2rs (par_run), par_map_lut, CEC and random simulation on the
+/// 64-bit multiplier at 1/2/4/8 threads.  One JSON line per (bench,
+/// threads) pair carrying seconds, speedup vs the run's own 1-thread time,
+/// a determinism check against the 1-thread result, and the machine's
+/// hardware concurrency (committed baselines from small machines are
+/// flagged, not trusted).  MCS_PAR_BENCH_BITS shrinks the multiplier for
+/// CI smoke runs.
 void run_par_suite(const char* path) {
   std::FILE* out = std::fopen(path, "a");
   if (out == nullptr) {
@@ -240,7 +241,12 @@ void run_par_suite(const char* path) {
       params.num_threads = t;
       params.partition.max_gates = 2000;
       bench::Timer timer;
-      const Network result = par_optimize(net, GateBasis::xmg(), 1, params);
+      const Network result = par_run(
+          net,
+          [](const Network& shard) {
+            return compress2rs_like(shard, GateBasis::xmg(), 1);
+          },
+          params);
       const double s = timer.seconds();
       if (t == 1) {
         base = s;
@@ -321,7 +327,7 @@ void run_par_suite(const char* path) {
 /// Thread-scaling suite over the SAT-sweeping engine: fraig on the 64-bit
 /// multiplier at 1/2/4/8 threads (one JSON line each, with speedup vs the
 /// run's own 1-thread time and a bit-identity determinism check) plus the
-/// legacy `sweep()` entry point as the serial reference row, and the
+/// serial `sweep()` entry point as the reference row, and the
 /// proof-heavy workload -- a 256-bit AIG-vs-XMG adder miter whose hundreds
 /// of locally-provable pairs must collapse every PO to constant 0.
 /// MCS_SWEEP_BENCH_BITS shrinks the multiplier for CI smoke runs.
@@ -344,8 +350,8 @@ void run_sweep_suite(const char* path) {
   const Network net = expand_to_aig(circuits::multiplier(bits));
   const std::string circuit = "multiplier" + std::to_string(bits);
 
-  // The legacy entry point (sweep() delegates to the engine at its classic
-  // defaults): the reference both for time and for the gate-count
+  // The serial entry point (sweep() is fraig at the default FraigParams):
+  // the reference both for time and for the gate-count
   // acceptance bar (fraig must never end up worse).
   std::size_t legacy_gates = 0;
   {

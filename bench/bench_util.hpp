@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "mcs/common/json.hpp"
 #include "mcs/flow/flow.hpp"
 #include "mcs/map/asic_mapper.hpp"
 #include "mcs/map/lut_mapper.hpp"
@@ -163,20 +164,11 @@ class JsonLine {
   }
 
  private:
+  // Escapes control characters too (e.g. newlines in captured error
+  // notes), which would break the one-JSON-object-per-line contract.
   void append_quoted(const std::string& s) {
     line_ += '"';
-    for (const char c : s) {
-      // Control characters (e.g. newlines in captured error notes) would
-      // break the one-JSON-object-per-line contract.
-      switch (c) {
-        case '"': line_ += "\\\""; break;
-        case '\\': line_ += "\\\\"; break;
-        case '\n': line_ += "\\n"; break;
-        case '\r': line_ += "\\r"; break;
-        case '\t': line_ += "\\t"; break;
-        default: line_ += c; break;
-      }
-    }
+    append_json_escaped(line_, s);
     line_ += '"';
   }
   void begin_field(const std::string& key) {

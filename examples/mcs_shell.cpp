@@ -15,7 +15,7 @@
 /// and exits nonzero, so CI scripts cannot silently pass.
 ///
 /// The `threads <n>` command selects the worker count for the parallel
-/// partition-based commands (`popt`, `pmch`, `pmap_lut`, `par`); their
+/// partition-based commands (`par:pass=<transform>`, `pmap_lut`); their
 /// results are bit-identical for any thread count.
 
 #include <unistd.h>

@@ -48,7 +48,7 @@
 /// exact accounting.
 ///
 /// **Disabled cost.**  With no spec armed, point()/short_read() are one
-/// relaxed atomic load -- measured <1% on the bench_flow mult64 flow.
+/// relaxed atomic load -- measured <1% on the mult64 paper flow.
 /// fail is independent of obs and stays live in every build; only its
 /// counters degrade to no-ops under -DMCS_OBS_DISABLE.
 

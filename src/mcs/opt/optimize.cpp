@@ -152,18 +152,7 @@ Network refactor(const Network& net, const RefactorParams& params) {
 // sweep (SAT sweeping / fraig-style merging)
 // ---------------------------------------------------------------------------
 
-Network sweep(const Network& net, const SweepParams& params) {
-  // Thin wrapper over the mcs::sweep engine (sweep/sweep.hpp): candidate
-  // classes from simulation signatures, parallel batched cone-restricted
-  // miters, counterexample-driven refinement, min-index merges.
-  FraigParams fp;
-  fp.num_threads = params.num_threads;
-  fp.sim_words = params.sim_words;
-  fp.sim_seed = params.sim_seed;
-  fp.conflict_limit = params.conflict_limit;
-  fp.max_rounds = params.max_rounds;
-  return fraig(net, fp);
-}
+Network sweep(const Network& net) { return fraig(net, FraigParams{}); }
 
 // ---------------------------------------------------------------------------
 // resub (simulation-guided, SAT-verified resubstitution)

@@ -33,22 +33,12 @@ struct RefactorParams {
 /// re-express it as a factored form, keep the smaller structure.
 Network refactor(const Network& net, const RefactorParams& params = {});
 
-struct SweepParams {
-  int sim_words = 16;
-  std::uint64_t sim_seed = 0xdead5eed;
-  std::int64_t conflict_limit = 300;
-  int max_rounds = 16;  ///< simulate/prove/refine iterations
-  /// Worker threads for the proof batches; values < 1 resolve through
-  /// ThreadPool::resolve_threads (MCS_THREADS / hardware).
-  int num_threads = 1;
-};
-
 /// SAT sweeping: proves functional node equivalences and merges them
 /// (fanins of later nodes are redirected to the earliest class member).
-/// A thin wrapper over the mcs::sweep engine (sweep/sweep.hpp):
-/// simulation-seeded candidate classes, parallel batched cone-restricted
-/// miters, counterexample-driven class refinement.
-Network sweep(const Network& net, const SweepParams& params = {});
+/// Serial fraig() at the engine's default FraigParams (sweep/sweep.hpp):
+/// simulation-seeded candidate classes, batched cone-restricted miters,
+/// counterexample-driven class refinement.  The flow pass is `fraig`.
+Network sweep(const Network& net);
 
 struct ResubParams {
   int max_window = 24;      ///< divisor candidates per node

@@ -182,19 +182,11 @@ Network par_run(const Network& net, const ShardPassFn& pass,
   Phase phase{stats};
   PartitionSet parts = partition_traced(net, partition_params(params, threads));
   phase.lap(&ParStats::partition_seconds);
-  return par_run(net, std::move(parts), pass, params, stats, reassemble_opts);
-}
-
-Network par_run(const Network& net, PartitionSet parts, const ShardPassFn& pass,
-                const ParParams& params, ParStats* stats,
-                const ReassembleOptions& reassemble_opts) {
-  const std::size_t threads = ThreadPool::resolve_threads(params.num_threads);
-  Phase phase{stats};
   fill_pre(stats, net, parts.parts.size(), threads);
 
   for_each_shard(parts, threads, [&](std::size_t i) {
     Partition& p = parts.parts[i];
-    p.net = pass(p.net, i);
+    p.net = pass(p.net);
   });
   phase.lap(&ParStats::work_seconds);
 
@@ -209,25 +201,24 @@ Network par_run(const Network& net, PartitionSet parts, const ShardPassFn& pass,
   return result;
 }
 
-LutNetwork par_run_lut(const Network& net, const ShardMapFn& map_shard,
-                       const ParParams& params, ParStats* stats) {
-  const std::size_t threads = ThreadPool::resolve_threads(params.num_threads);
+LutNetwork par_map_lut(const Network& net, const LutMapParams& map_params,
+                       const ParParams& params, ParStats* stats,
+                       LutMapStats* map_stats) {
+  ParParams lut_params = params;
+  lut_params.partition.keep_choices = map_params.use_choices;
+  const std::size_t threads =
+      ThreadPool::resolve_threads(lut_params.num_threads);
   Phase phase{stats};
-  PartitionSet parts = partition_traced(net, partition_params(params, threads));
+  PartitionSet parts =
+      partition_traced(net, partition_params(lut_params, threads));
   phase.lap(&ParStats::partition_seconds);
-  return par_run_lut(net, std::move(parts), map_shard, params, stats);
-}
-
-LutNetwork par_run_lut(const Network& net, PartitionSet parts,
-                       const ShardMapFn& map_shard, const ParParams& params,
-                       ParStats* stats) {
-  const std::size_t threads = ThreadPool::resolve_threads(params.num_threads);
-  Phase phase{stats};
   fill_pre(stats, net, parts.parts.size(), threads);
 
   std::vector<LutNetwork> shard_luts(parts.parts.size());
+  std::vector<LutMapStats> shard_stats(map_stats ? parts.parts.size() : 0);
   for_each_shard(parts, threads, [&](std::size_t i) {
-    shard_luts[i] = map_shard(parts.parts[i].net, i);
+    shard_luts[i] = lut_map(parts.parts[i].net, map_params,
+                            map_stats ? &shard_stats[i] : nullptr);
   });
   phase.lap(&ParStats::work_seconds);
 
@@ -311,71 +302,6 @@ LutNetwork par_run_lut(const Network& net, PartitionSet parts,
     stats->final_gates = merged.luts.size();
     stats->final_depth = merged.depth();
   }
-  return merged;
-}
-
-Network par_optimize(const Network& net, GateBasis basis, int max_rounds,
-                     const ParParams& params, ParStats* stats) {
-  return par_run(
-      net,
-      [&](const Network& shard, std::size_t) {
-        return compress2rs_like(shard, basis, max_rounds);
-      },
-      params, stats);
-}
-
-Network par_mch(const Network& net, const MchParams& mch_params,
-                const ParParams& params, ParStats* stats,
-                MchStats* mch_stats) {
-  // Partition up front: per-shard stats are indexed by shard, so the
-  // shard count is needed before the work phase.
-  const std::size_t threads = ThreadPool::resolve_threads(params.num_threads);
-  Phase phase{stats};
-  PartitionSet parts = partition_traced(net, partition_params(params, threads));
-  phase.lap(&ParStats::partition_seconds);
-  std::vector<MchStats> shard_stats(mch_stats ? parts.parts.size() : 0);
-  Network result = par_run(
-      net, std::move(parts),
-      [&](const Network& shard, std::size_t i) {
-        return build_mch(shard, mch_params,
-                         mch_stats ? &shard_stats[i] : nullptr);
-      },
-      params, stats, {.keep_choices = true});
-
-  if (mch_stats) {
-    for (const MchStats& s : shard_stats) {
-      mch_stats->num_critical_nodes += s.num_critical_nodes;
-      mch_stats->num_candidates_tried += s.num_candidates_tried;
-      mch_stats->num_choices_added += s.num_choices_added;
-      mch_stats->num_rejected_same += s.num_rejected_same;
-      mch_stats->num_rejected_cycle += s.num_rejected_cycle;
-      mch_stats->num_rejected_class += s.num_rejected_class;
-      mch_stats->num_rejected_cap += s.num_rejected_cap;
-    }
-  }
-  return result;
-}
-
-LutNetwork par_map_lut(const Network& net, const LutMapParams& map_params,
-                       const ParParams& params, ParStats* stats,
-                       LutMapStats* map_stats) {
-  ParParams lut_params = params;
-  lut_params.partition.keep_choices = map_params.use_choices;
-  const std::size_t threads =
-      ThreadPool::resolve_threads(lut_params.num_threads);
-  Phase phase{stats};
-  PartitionSet parts =
-      partition_traced(net, partition_params(lut_params, threads));
-  phase.lap(&ParStats::partition_seconds);
-  std::vector<LutMapStats> shard_stats(map_stats ? parts.parts.size() : 0);
-  LutNetwork merged = par_run_lut(
-      net, std::move(parts),
-      [&](const Network& shard, std::size_t i) {
-        return lut_map(shard, map_params,
-                       map_stats ? &shard_stats[i] : nullptr);
-      },
-      lut_params, stats);
-
   if (map_stats) {
     map_stats->num_luts = merged.size();
     map_stats->depth = merged.depth();

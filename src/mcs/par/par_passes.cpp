@@ -1,9 +1,9 @@
 /// \file par_passes.cpp
 /// \brief Flow registrations for the partition-parallel drivers: the
-/// classic `popt` / `pmch` / `pmap_lut` commands plus the generic `par`
-/// meta-pass that runs *any* registered network->network pass per shard
-/// (`par:pass=rewrite,k=4`).  Thread count and shard size come from the
-/// FlowContext (`threads` / `partsize` settings passes).
+/// generic `par` meta-pass that runs *any* registered network->network
+/// pass per shard (`par:pass=compress2rs,rounds=2`, `par:pass=mch`) and
+/// `pmap_lut`, the sharded LUT mapper.  Thread count and shard size come
+/// from the FlowContext (`threads` / `partsize` settings passes).
 
 #include <utility>
 #include <vector>
@@ -49,56 +49,6 @@ const PassInfo& inner_pass_or_throw(const PassArgs& args) {
 }  // namespace
 
 void register_par_passes(PassRegistry& registry) {
-  registry.add({
-      .name = "popt",
-      .summary = "parallel partitioned compress2rs",
-      .kind = PassKind::kTransform,
-      .params = {{.key = "rounds",
-                  .type = ParamType::kInt,
-                  .default_value = "3",
-                  .help = "maximum rounds"},
-                 {.key = "basis",
-                  .type = ParamType::kBasis,
-                  .default_value = "xmg",
-                  .help = "working basis"}},
-      .run =
-          [](FlowContext& ctx, const PassArgs& args) {
-            ParStats ps;
-            ctx.net = par_optimize(ctx.net, args.get_basis("basis"),
-                                   static_cast<int>(args.get_int("rounds")),
-                                   ctx.par, &ps);
-            ctx.note = par_note("popt", ps);
-          },
-  });
-
-  registry.add({
-      .name = "pmch",
-      .summary = "parallel partitioned mixed structural choices",
-      .kind = PassKind::kChoice,
-      .params = {{.key = "basis",
-                  .type = ParamType::kBasis,
-                  .default_value = "xmg",
-                  .help = "candidate synthesis basis"},
-                 {.key = "ratio",
-                  .type = ParamType::kDouble,
-                  .default_value = "0.9",
-                  .help = "critical-path ratio r"}},
-      .run =
-          [](FlowContext& ctx, const PassArgs& args) {
-            MchParams params;
-            params.candidate_basis = args.get_basis("basis");
-            params.critical_ratio = args.get_double("ratio");
-            if (params.critical_ratio < 0.0 || params.critical_ratio > 1.0) {
-              throw FlowError("pmch: ratio must be in [0, 1]");
-            }
-            ParStats ps;
-            MchStats stats;
-            ctx.net = par_mch(ctx.net, params, ctx.par, &ps, &stats);
-            ctx.note = std::to_string(stats.num_choices_added) +
-                       " choices added, " + par_note("pmch", ps);
-          },
-  });
-
   registry.add({
       .name = "pmap_lut",
       .summary = "parallel partitioned choice-aware K-LUT mapping",
@@ -146,7 +96,7 @@ void register_par_passes(PassRegistry& registry) {
             ParStats ps;
             ctx.net = par_run(
                 ctx.net,
-                [&](const Network& shard, std::size_t) {
+                [&](const Network& shard) {
                   FlowContext sub;
                   sub.seed = ctx.seed;
                   sub.par.num_threads = 1;  // no nested pools

@@ -20,6 +20,10 @@
 #include <utility>
 #include <vector>
 
+// The writing side (append_json_escaped / json_quote) is shared library-
+// wide; server code reaches it unqualified from mcs::server.
+#include "mcs/common/json.hpp"
+
 namespace mcs::server {
 
 /// Raised on malformed JSON text and on type-mismatched accessor calls.
@@ -72,13 +76,5 @@ class Json {
 
   friend class JsonParser;
 };
-
-/// Appends \p s to \p out with JSON string escaping (quotes not included).
-/// Control characters are emitted as \u00XX so any byte sequence
-/// round-trips through a single protocol line.
-void append_json_escaped(std::string& out, std::string_view s);
-
-/// Convenience: "..." with escaping.
-std::string json_quote(std::string_view s);
 
 }  // namespace mcs::server

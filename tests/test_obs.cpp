@@ -28,6 +28,7 @@
 #include "mcs/network/convert.hpp"
 #include "mcs/network/network_utils.hpp"
 #include "mcs/obs/obs.hpp"
+#include "mcs/opt/optimize.hpp"
 #include "mcs/par/par_engine.hpp"
 #include "mcs/par/thread_pool.hpp"
 #include "mcs/sweep/sweep.hpp"
@@ -787,22 +788,24 @@ TEST_F(ObsDeterminism, FraigBitIdenticalWithTracingOnOff) {
   }
 }
 
-TEST_F(ObsDeterminism, ParOptimizeBitIdenticalWithTracingOnOff) {
+TEST_F(ObsDeterminism, ShardedCompressBitIdenticalWithTracingOnOff) {
   const Network net = expand_to_aig(circuits::multiplier(8));
+  const ShardPassFn compress = [](const Network& shard) {
+    return compress2rs_like(shard, GateBasis::aig(), 2);
+  };
 
   obs::set_tracing(false);
   ParParams ref_params;
   ref_params.num_threads = 1;
-  const Network reference =
-      par_optimize(net, GateBasis::aig(), 2, ref_params);
+  const Network reference = par_run(net, compress, ref_params);
 
   obs::set_tracing(true);
   for (const int threads : {1, 4}) {
     ParParams params;
     params.num_threads = threads;
-    const Network traced = par_optimize(net, GateBasis::aig(), 2, params);
+    const Network traced = par_run(net, compress, params);
     EXPECT_TRUE(structurally_identical(traced, reference))
-        << "par_optimize diverged with tracing on at " << threads
+        << "sharded compress2rs diverged with tracing on at " << threads
         << " threads";
   }
 }

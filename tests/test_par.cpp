@@ -8,12 +8,15 @@
 
 #include <atomic>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "mcs/choice/mch.hpp"
 #include "mcs/circuits/circuits.hpp"
+#include "mcs/flow/flow.hpp"
 #include "mcs/network/convert.hpp"
 #include "mcs/network/network_utils.hpp"
+#include "mcs/opt/optimize.hpp"
 #include "mcs/par/par_engine.hpp"
 #include "mcs/par/partition.hpp"
 #include "mcs/par/thread_pool.hpp"
@@ -219,7 +222,40 @@ TEST(Partition, ParallelShardConstructionIsBitIdentical) {
 
 // --- parallel drivers -----------------------------------------------------
 
-TEST(ParEngine, ParOptimizeIsEquivalentAndDeterministic) {
+/// Sharded compress2rs through the generic driver: the work `par:pass=
+/// compress2rs` does per shard.
+Network par_compress(const Network& net, GateBasis basis, int rounds,
+                     const ParParams& params, ParStats* stats = nullptr) {
+  return par_run(
+      net,
+      [&](const Network& shard) {
+        return compress2rs_like(shard, basis, rounds);
+      },
+      params, stats);
+}
+
+/// Sharded MCH through the generic driver, configured like `par:pass=mch`
+/// (choice classes kept through partitioning and reassembly).
+/// \p choices_added (optional) receives the per-shard sum.
+Network par_choices(const Network& net, const ParParams& params,
+                    std::size_t* choices_added = nullptr) {
+  ParParams pp = params;
+  pp.partition.keep_choices = true;
+  std::atomic<std::size_t> added{0};
+  Network result = par_run(
+      net,
+      [&](const Network& shard) {
+        MchStats stats;
+        Network out = build_mch(shard, {}, &stats);
+        added += stats.num_choices_added;
+        return out;
+      },
+      pp, nullptr, {.keep_choices = true});
+  if (choices_added) *choices_added = added;
+  return result;
+}
+
+TEST(ParEngine, ShardedCompressIsEquivalentAndDeterministic) {
   const Network net = expand_to_aig(circuits::multiplier(8));
   ParParams one;
   one.num_threads = 1;
@@ -228,17 +264,17 @@ TEST(ParEngine, ParOptimizeIsEquivalentAndDeterministic) {
   four.num_threads = 4;
 
   ParStats stats;
-  const Network r1 = par_optimize(net, GateBasis::xmg(), 2, one, &stats);
+  const Network r1 = par_compress(net, GateBasis::xmg(), 2, one, &stats);
   EXPECT_GT(stats.num_partitions, 1u);
-  const Network r4 = par_optimize(net, GateBasis::xmg(), 2, four);
+  const Network r4 = par_compress(net, GateBasis::xmg(), 2, four);
 
   EXPECT_EQ(check_equivalence(net, r1), CecResult::kEquivalent);
   EXPECT_LT(r1.num_gates(), net.num_gates());
   EXPECT_TRUE(structurally_identical(r1, r4))
-      << "par_optimize must be bit-identical for any thread count";
+      << "sharded compress2rs must be bit-identical for any thread count";
 }
 
-TEST(ParEngine, ParOptimizeReducesRandomNetworks) {
+TEST(ParEngine, ShardedCompressReducesRandomNetworks) {
   const auto net = testing::random_network({.num_pis = 10,
                                             .num_gates = 400,
                                             .num_pos = 16,
@@ -247,27 +283,27 @@ TEST(ParEngine, ParOptimizeReducesRandomNetworks) {
   ParParams params;
   params.num_threads = 2;
   params.partition.max_gates = 100;
-  const Network opt = par_optimize(net, GateBasis::xmg(), 2, params);
+  const Network opt = par_compress(net, GateBasis::xmg(), 2, params);
   EXPECT_EQ(check_equivalence(net, opt), CecResult::kEquivalent);
   EXPECT_LE(opt.num_gates(), net.num_gates());
 }
 
-TEST(ParEngine, ParMchAddsChoicesAndStaysEquivalent) {
+TEST(ParEngine, ShardedMchAddsChoicesAndStaysEquivalent) {
   const Network net = expand_to_aig(circuits::adder(24));
   ParParams params;
   params.num_threads = 2;
   params.partition.max_gates = 80;
-  MchStats mch_stats;
-  const Network choices = par_mch(net, {}, params, nullptr, &mch_stats);
-  EXPECT_GT(mch_stats.num_choices_added, 0u);
+  std::size_t added = 0;
+  const Network choices = par_choices(net, params, &added);
+  EXPECT_GT(added, 0u);
   EXPECT_GT(choices.num_choices(), 0u);
   EXPECT_EQ(check_equivalence(net, choices), CecResult::kEquivalent);
 
   ParParams one = params;
   one.num_threads = 1;
-  const Network c1 = par_mch(net, {}, one);
+  const Network c1 = par_choices(net, one);
   EXPECT_TRUE(structurally_identical(c1, choices))
-      << "par_mch must be bit-identical for any thread count";
+      << "sharded MCH must be bit-identical for any thread count";
 }
 
 TEST(ParEngine, ParMapLutMatchesFunctionAndIsDeterministic) {
@@ -313,7 +349,7 @@ TEST(ParEngine, ChoiceAwareParMapLutBitIdenticalAcrossThreads) {
   ParParams one;
   one.num_threads = 1;
   one.partition.max_gates = 150;
-  const Network choices = par_mch(net, {}, one);
+  const Network choices = par_choices(net, one);
   ASSERT_GT(choices.num_choices(), 0u);
 
   LutMapParams mp;
@@ -331,31 +367,33 @@ TEST(ParEngine, ChoiceAwareParMapLutBitIdenticalAcrossThreads) {
   EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
 }
 
+/// Runs \p spec on \p threads workers with shards of \p max_gates gates;
+/// the flow's own `cec` stage checks the final LUT network.
+void expect_flow_verifies(const std::string& spec, int threads,
+                          std::size_t max_gates) {
+  flow::FlowContext ctx;
+  ctx.par.num_threads = threads;
+  ctx.par.partition.max_gates = max_gates;
+  const flow::FlowReport report = flow::run_flow(spec, ctx);
+  EXPECT_TRUE(report.ok) << report.error;
+  EXPECT_TRUE(ctx.luts.has_value());
+}
+
 TEST(ParEngine, FullParallelFlowOnChoiceNetwork) {
-  // popt -> pmch -> pmap_lut, all partitioned, verified end to end.
-  const Network net = circuits::adder(32);
-  ParParams params;
-  params.num_threads = 2;
-  params.partition.max_gates = 100;
-  const Network opt = par_optimize(net, GateBasis::xmg(), 1, params);
-  const Network choices = par_mch(opt, {}, params);
-  const LutNetwork luts = par_map_lut(choices, {}, params);
-  const Network back = lut_network_to_network(luts);
-  EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
+  // compress2rs -> mch -> pmap_lut, all partitioned, verified end to end.
+  expect_flow_verifies(
+      "gen:adder,bits=32; par:pass=compress2rs,rounds=1; par:pass=mch; "
+      "pmap_lut:k=6; cec",
+      2, 100);
 }
 
 TEST(ParEngine, FullParallelFlowOnMultiplier) {
   // The structure that defeats cone partitioning: global sharing.  The
   // window strategy keeps it tractable end to end.
-  const Network net = expand_to_aig(circuits::multiplier(8));
-  ParParams params;
-  params.num_threads = 2;
-  params.partition.max_gates = 200;
-  const Network opt = par_optimize(net, GateBasis::xmg(), 1, params);
-  const Network choices = par_mch(opt, {}, params);
-  const LutNetwork luts = par_map_lut(choices, {}, params);
-  const Network back = lut_network_to_network(luts);
-  EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
+  expect_flow_verifies(
+      "gen:multiplier,bits=8; to:aig; par:pass=compress2rs,rounds=1; "
+      "par:pass=mch; pmap_lut:k=6; cec",
+      2, 200);
 }
 
 }  // namespace

@@ -231,20 +231,23 @@ TEST(Sweep, AdderMiterCollapsesToConstants) {
   EXPECT_TRUE(structurally_identical(r1, r4));
 }
 
-TEST(Sweep, LegacySweepDelegatesToEngine) {
-  // sweep() is a thin wrapper: same engine, classic defaults -- and the
-  // fraig output is never worse in gate count than the legacy entry point.
+TEST(Sweep, SweepIsSerialFraigAtDefaults) {
+  // sweep() is fraig at the default FraigParams, and those defaults are
+  // the classic serial settings compress2rs_like has always swept with.
   const Network net = expand_to_aig(circuits::multiplier(8));
-  SweepParams sp;
-  sp.num_threads = 1;
-  const Network legacy = sweep(net, sp);
-  FraigParams fp;  // fraig defaults == SweepParams defaults
+  const Network serial = sweep(net);
+  FraigParams fp;
+  fp.num_threads = 1;
+  fp.sim_words = 16;
+  fp.sim_seed = 0xdead5eed;
+  fp.conflict_limit = 300;
+  fp.max_rounds = 16;
   const Network direct = fraig(net, fp);
-  EXPECT_TRUE(structurally_identical(legacy, direct));
-  EXPECT_LE(direct.num_gates(), legacy.num_gates());
+  EXPECT_TRUE(structurally_identical(serial, direct));
+  EXPECT_LE(direct.num_gates(), net.num_gates());
   // Full formal checks of fraig outputs live in the adder/multiplier CEC
   // tests above; an 8-bit multiplier miter alone costs tens of seconds.
-  EXPECT_EQ(sim_falsify(net, legacy, 64, 0x5eed, 1), -1);
+  EXPECT_EQ(sim_falsify(net, serial, 64, 0x5eed, 1), -1);
 }
 
 TEST(Sweep, FlowFraigPassRunsAndVerifies) {

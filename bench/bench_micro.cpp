@@ -273,10 +273,10 @@ void run_par_suite(const char* path) {
     }
   }
   {
-    // Parallel CEC: ripple vs balanced adder, the classic tractable miter
-    // (multiplier miters are SAT-hard regardless of the harness).  Stage 1
-    // is the level-blocked parallel simulation, stage 2 the per-PO-batch
-    // cone-restricted miters; 4*bits+1 POs -> dozens of batches.
+    // Parallel CEC: ripple vs balanced adder, the classic tractable miter.
+    // Stage 1 is the level-blocked parallel simulation, then the parallel
+    // sweep of the strashed miter and the batched proofs of any PO pairs
+    // it leaves apart (4*bits+1 POs).
     const Network ripple = expand_to_aig(circuits::adder(4 * bits));
     const Network balanced = balance(ripple);
     const std::string cec_circuit = "adder" + std::to_string(4 * bits);

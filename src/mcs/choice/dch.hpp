@@ -22,7 +22,7 @@ struct DchParams {
   int sim_words = 16;               ///< random words per node for signatures
   std::uint64_t sim_seed = 0x5eed;  ///< signature seed
   std::int64_t conflict_limit = 300;  ///< SAT budget per candidate pair
-  std::size_t max_pairs = 1u << 20;   ///< overall pair budget
+  std::size_t max_pairs = 1u << 20;   ///< overall SAT-attempt budget
   /// Worker threads for the equivalence proofs (the mcs::sweep engine's
   /// parallel proof batches); values < 1 resolve through
   /// ThreadPool::resolve_threads.  The classes are identical for any

@@ -216,34 +216,42 @@ void ThreadPool::participate(const std::shared_ptr<Batch>& batch) {
   const std::size_t n = b.n;
   const bool was_in_batch = tl_in_batch;
   tl_in_batch = true;
-  // One scope for the whole claim loop (a no-op on the submitting thread,
-  // whose domain is already active): batch items are attributed to the
-  // submitting job on every participant.
-  obs::Scope domain_scope(b.domain);
-  obs::Span span("pool:batch");
-  static obs::Counter& items = obs::counter("pool.batch_items");
-  for (;;) {
-    const std::size_t k = b.next.fetch_add(1, std::memory_order_relaxed);
-    if (k >= n) break;
-    items.increment();
-    const std::size_t i = b.order != nullptr ? b.order[k] : k;
-    try {
-      // Inside the per-item try: an injected throw is captured with the
-      // same min-index determinism as a real task exception (a bare throw
-      // on the worker loop would terminate the process).
-      fail::point("pool.task");
-      (*b.fn)(i);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(b.mutex);
-      if (i < b.err_index) {
-        b.err_index = i;
-        b.err = std::current_exception();
+  std::size_t completed = 0;
+  {
+    // One scope for the whole claim loop (a no-op on the submitting
+    // thread, whose domain is already active): batch items are attributed
+    // to the submitting job on every participant.
+    obs::Scope domain_scope(b.domain);
+    obs::Span span("pool:batch");
+    static obs::Counter& items = obs::counter("pool.batch_items");
+    for (;;) {
+      const std::size_t k = b.next.fetch_add(1, std::memory_order_relaxed);
+      if (k >= n) break;
+      items.increment();
+      const std::size_t i = b.order != nullptr ? b.order[k] : k;
+      try {
+        // Inside the per-item try: an injected throw is captured with the
+        // same min-index determinism as a real task exception (a bare
+        // throw on the worker loop would terminate the process).
+        fail::point("pool.task");
+        (*b.fn)(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(b.mutex);
+        if (i < b.err_index) {
+          b.err_index = i;
+          b.err = std::current_exception();
+        }
       }
+      ++completed;
     }
-    if (b.done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-      std::lock_guard<std::mutex> lock(b.mutex);
-      b.cv.notify_all();
-    }
+  }
+  // Completion is reported only after the scope above has flushed into the
+  // domain: the submitter may release the domain once done reaches n.
+  if (completed > 0 &&
+      b.done.fetch_add(completed, std::memory_order_acq_rel) + completed ==
+          n) {
+    std::lock_guard<std::mutex> lock(b.mutex);
+    b.cv.notify_all();
   }
   tl_in_batch = was_in_batch;
 }

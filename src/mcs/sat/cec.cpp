@@ -5,62 +5,50 @@
 #include <cassert>
 #include <vector>
 
+#include "mcs/network/network_utils.hpp"
 #include "mcs/obs/obs.hpp"
 #include "mcs/par/thread_pool.hpp"
-#include "mcs/sat/cnf.hpp"
-#include "mcs/sat/solver.hpp"
+#include "mcs/sat/miter.hpp"
 #include "mcs/sim/simulator.hpp"
+#include "mcs/sweep/sweep.hpp"
 
 namespace mcs {
 
 namespace {
 
-/// Fresh variable t with t -> (x != y); asserting t makes the solver search
-/// for a distinguishing input.
-sat::Lit make_diff(sat::Solver& solver, sat::Lit x, sat::Lit y) {
-  const sat::Var t = solver.new_var();
-  const sat::Lit lt = sat::mk_lit(t);
-  // t -> (x | y), t -> (!x | !y): t implies x != y.
-  solver.add_clause(sat::negate(lt), x, y);
-  solver.add_clause(sat::negate(lt), sat::negate(x), sat::negate(y));
-  // (x != y) -> t, so the OR over all diffs is complete.
-  solver.add_clause(lt, sat::negate(x), y);
-  solver.add_clause(lt, x, sat::negate(y));
-  return lt;
+/// PO pairs per proof batch of the final stage (one IncrementalMiter each).
+constexpr std::size_t kPoPairBatch = 8;
+
+/// Copies the PO cones of \p src into \p dst over the PI signals \p pis and
+/// appends the copied POs to \p dst.
+void append_cones(const Network& src, Network& dst,
+                  const std::vector<Signal>& pis) {
+  std::vector<Signal> map(src.size());
+  map[0] = dst.constant(false);
+  for (std::size_t i = 0; i < src.num_pis(); ++i) map[src.pi_at(i)] = pis[i];
+  for (const NodeId n : topo_order(src)) {
+    if (!src.is_gate(n)) continue;
+    const Node& nd = src.node(n);
+    std::array<Signal, 3> in{};
+    for (int i = 0; i < nd.num_fanins; ++i) {
+      in[i] = map[nd.fanin[i].node()] ^ nd.fanin[i].complemented();
+    }
+    map[n] = dst.create_gate(nd.type, in);
+  }
+  for (const Signal s : src.pos()) {
+    dst.create_po(map[s.node()] ^ s.complemented());
+  }
 }
 
-/// One miter over the PO range [begin, end) of the two networks, with
-/// shared PI variables and cone-restricted encodings.
-sat::Result solve_miter_range(const Network& a, const Network& b,
-                              std::size_t begin, std::size_t end,
-                              std::int64_t conflict_limit) {
-  sat::Solver solver;
-  sat::CnfMapping ma(a.size());
-  sat::CnfMapping mb(b.size());
-  for (std::size_t i = 0; i < a.num_pis(); ++i) {
-    const sat::Var v = solver.new_var();
-    ma.set_var(a.pi_at(i), v);
-    mb.set_var(b.pi_at(i), v);
+CecResult to_cec(sat::Result r) {
+  switch (r) {
+    case sat::Result::kUnsat:
+      return CecResult::kEquivalent;
+    case sat::Result::kSat:
+      return CecResult::kNotEquivalent;
+    default:
+      return CecResult::kUnknown;
   }
-  std::vector<Signal> roots_a;
-  std::vector<Signal> roots_b;
-  roots_a.reserve(end - begin);
-  roots_b.reserve(end - begin);
-  for (std::size_t i = begin; i < end; ++i) {
-    roots_a.push_back(a.po_at(i));
-    roots_b.push_back(b.po_at(i));
-  }
-  sat::encode_cone(a, roots_a, solver, ma);
-  sat::encode_cone(b, roots_b, solver, mb);
-
-  std::vector<sat::Lit> diffs;
-  diffs.reserve(end - begin);
-  for (std::size_t i = begin; i < end; ++i) {
-    diffs.push_back(
-        make_diff(solver, ma.lit(a.po_at(i)), mb.lit(b.po_at(i))));
-  }
-  solver.add_clause(std::move(diffs));
-  return solver.solve({}, conflict_limit);
 }
 
 }  // namespace
@@ -73,59 +61,76 @@ CecResult check_equivalence(const Network& a, const Network& b,
   obs::counter("cec.checks").increment();
   const std::size_t threads = ThreadPool::resolve_threads(opts.num_threads);
 
-  // Stage 1: random-simulation falsification (level-blocked parallel; PI
-  // words are seed-derived per interface index, so both networks see the
-  // same vectors and any thread count sees the same values).
+  // 1. Random-simulation falsification (level-blocked parallel; PI words
+  // are seed-derived per interface index, so both networks see the same
+  // vectors and any thread count sees the same values).
   if (sim_falsify(a, b, opts.sim_words, opts.sim_seed, opts.num_threads) >=
       0) {
     obs::counter("cec.sim_refuted").increment();
     return CecResult::kNotEquivalent;
   }
 
-  // Stage 2: SAT miter with shared PI variables.  Serial path: one
-  // monolithic miter over every PO.
-  if (threads <= 1 || a.num_pos() < 2) {
-    obs::counter("cec.batches").increment();
-    switch (solve_miter_range(a, b, 0, a.num_pos(), opts.conflict_limit)) {
-      case sat::Result::kUnsat:
-        return CecResult::kEquivalent;
-      case sat::Result::kSat:
-        return CecResult::kNotEquivalent;
-      default:
-        return CecResult::kUnknown;
-    }
-  }
-
-  // Parallel path: per-PO-batch miters.  The batching depends only on the
-  // PO count and the verdict merge is order-independent (SAT dominates
-  // Unknown), so the verdict does not depend on the thread count; once a
-  // counterexample is found, batches not yet started are skipped.
+  // 2. One strashed miter with shared PIs: a's POs, then b's.
   const std::size_t num_pos = a.num_pos();
-  const std::size_t num_batches = (num_pos + kCecPoBatch - 1) / kCecPoBatch;
+  Network miter;
+  miter.reserve(a.size() + b.size());
+  std::vector<Signal> pis;
+  for (std::size_t i = 0; i < a.num_pis(); ++i) {
+    pis.push_back(miter.create_pi());
+  }
+  append_cones(a, miter, pis);
+  append_cones(b, miter, pis);
+
+  // 3. Sweep it: the cascading engine merges every internal equivalence it
+  // can prove within the engine's per-pair budget (never more than the
+  // caller's), and the rebuild strashes the merged miter.
+  FraigParams fp;
+  fp.num_threads = opts.num_threads;
+  fp.sim_words = opts.sim_words;
+  fp.sim_seed = opts.sim_seed;
+  if (opts.conflict_limit >= 0) {
+    fp.conflict_limit = std::min(fp.conflict_limit, opts.conflict_limit);
+  }
+  const Network swept = fraig(miter, fp);
+
+  // 4. Prove the PO pairs the sweep left apart, in fixed batches.
+  std::vector<std::size_t> open;
+  for (std::size_t i = 0; i < num_pos; ++i) {
+    if (swept.po_at(i) != swept.po_at(num_pos + i)) open.push_back(i);
+  }
+  static obs::Counter& po_proofs = obs::counter("cec.po_proofs");
+  static obs::Counter& batches_run = obs::counter("cec.batches");
+  po_proofs.add(open.size());
+  // Each batch solves every pair unless one is refuted; the verdict merge
+  // is order-independent (SAT dominates Unknown), and the batches depend
+  // on the open list alone, so the verdict is thread-count independent
+  // under any conflict budget.
+  const std::size_t num_batches =
+      (open.size() + kPoPairBatch - 1) / kPoPairBatch;
   std::atomic<bool> found_sat{false};
   std::atomic<bool> found_unknown{false};
-  static obs::Counter& batches_run = obs::counter("cec.batches");
-  static obs::Counter& early_exits = obs::counter("cec.early_exits");
   ThreadPool::global().submit_bulk(
       num_batches,
       [&](std::size_t batch) {
-        if (found_sat.load(std::memory_order_relaxed)) {
-          early_exits.increment();
-          return;  // early exit
-        }
         obs::Span batch_span("cec:batch");
         batches_run.increment();
-        const std::size_t begin = batch * kCecPoBatch;
-        const std::size_t end = std::min(num_pos, begin + kCecPoBatch);
-        switch (solve_miter_range(a, b, begin, end, opts.conflict_limit)) {
-          case sat::Result::kSat:
-            found_sat.store(true, std::memory_order_relaxed);
-            break;
-          case sat::Result::kUnknown:
-            found_unknown.store(true, std::memory_order_relaxed);
-            break;
-          default:
-            break;
+        const std::size_t begin = batch * kPoPairBatch;
+        const std::size_t end = std::min(open.size(), begin + kPoPairBatch);
+        sat::IncrementalMiter m(swept);
+        for (std::size_t k = begin; k < end; ++k) {
+          const Signal x = swept.po_at(open[k]);
+          const Signal y = swept.po_at(num_pos + open[k]);
+          switch (m.prove_equal(x, y, opts.conflict_limit)) {
+            case sat::Result::kUnsat:
+              m.assert_equal(x, y);
+              break;
+            case sat::Result::kSat:
+              found_sat.store(true, std::memory_order_relaxed);
+              return;
+            default:
+              found_unknown.store(true, std::memory_order_relaxed);
+              break;
+          }
         }
       },
       threads);
@@ -143,19 +148,8 @@ CecResult check_signals_equivalent(const Network& net, Signal x, Signal y,
     if (!sim.values_equal(x, y)) return CecResult::kNotEquivalent;
   }
 
-  sat::Solver solver;
-  sat::CnfMapping m(net.size());
-  sat::encode_cone(net, {x, y}, solver, m);
-  solver.add_clause(make_diff(solver, m.lit(x), m.lit(y)));
-
-  switch (solver.solve({}, opts.conflict_limit)) {
-    case sat::Result::kUnsat:
-      return CecResult::kEquivalent;
-    case sat::Result::kSat:
-      return CecResult::kNotEquivalent;
-    default:
-      return CecResult::kUnknown;
-  }
+  sat::IncrementalMiter m(net);
+  return to_cec(m.prove_equal(x, y, opts.conflict_limit));
 }
 
 }  // namespace mcs

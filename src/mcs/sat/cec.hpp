@@ -1,9 +1,11 @@
 /// \file cec.hpp
 /// \brief Combinational equivalence checking (the role of ABC's `cec`).
 ///
-/// Every experiment in the paper is formally verified; we provide the same
-/// guarantee with a two-stage check: word-parallel random simulation for
-/// fast falsification, then a SAT miter for proof.
+/// Every experiment in the paper is formally verified; check_equivalence
+/// gives the same guarantee as a four-step pipeline: word-parallel random
+/// simulation for fast falsification, one strashed miter of both networks
+/// with shared PIs, the cascading SAT-sweeping engine (mcs/sweep) on that
+/// miter, and SAT proofs for only the PO pairs the sweep left apart.
 
 #pragma once
 
@@ -17,27 +19,22 @@ namespace mcs {
 enum class CecResult { kEquivalent, kNotEquivalent, kUnknown };
 
 struct CecOptions {
-  int sim_words = 16;                  ///< random words per node in stage 1
+  int sim_words = 16;                  ///< random words per node (sim + sweep)
   std::uint64_t sim_seed = 0xc0ffee;   ///< simulation seed
   std::int64_t conflict_limit = -1;    ///< SAT budget; < 0 means unlimited
 
-  /// Worker threads for both stages; values < 1 resolve through
-  /// ThreadPool::resolve_threads (MCS_THREADS / hardware).  With more than
-  /// one thread the SAT stage solves per-PO-batch miters (cone-restricted
-  /// encodings, kPoBatch POs each, early exit once a counterexample is
-  /// found) instead of one monolithic miter.  The batch structure depends
-  /// only on the PO count -- never on the thread count -- and the verdict
-  /// merge is order-independent (any SAT batch => kNotEquivalent, else any
-  /// kUnknown => kUnknown), so with an unlimited conflict budget the
-  /// verdict is identical for every thread count.  Under a finite
-  /// conflict_limit the budget applies per batch, so the serial
-  /// single-miter path may return kUnknown where the batched path decides
-  /// (or vice versa).
+  /// Worker threads for the simulation, the sweep and the PO proofs;
+  /// values < 1 resolve through ThreadPool::resolve_threads (MCS_THREADS /
+  /// hardware).  The sweep is bit-identical for any thread count, and the
+  /// remaining PO pairs are proven in fixed batches that depend only on
+  /// which pairs remain, with an order-independent verdict merge (any SAT
+  /// => kNotEquivalent, else any kUnknown => kUnknown).  The verdict is
+  /// therefore identical for every thread count under any conflict_limit.
+  /// conflict_limit bounds each PO proof; the sweep's internal pairs run
+  /// under the engine's default per-pair budget, or conflict_limit when
+  /// that is smaller.
   int num_threads = 1;
 };
-
-/// POs per parallel miter batch (see CecOptions::num_threads).
-inline constexpr std::size_t kCecPoBatch = 8;
 
 /// Checks combinational equivalence of two networks with identical PI/PO
 /// counts (POs are compared positionally).

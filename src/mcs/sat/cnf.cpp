@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "mcs/network/network_utils.hpp"
-
 namespace mcs::sat {
 
 void encode_gate(Solver& solver, GateType type, Lit y, Lit a, Lit b, Lit c) {
@@ -55,37 +53,6 @@ void encode_network(const Network& net, Solver& solver, CnfMapping& mapping) {
     if (!mapping.has_var(n)) mapping.set_var(n, solver.new_var());
   }
   for (NodeId n = 1; n < net.size(); ++n) {
-    const Node& nd = net.node(n);
-    if (!net.is_gate(n)) continue;
-    const Lit y = mk_lit(mapping.var_of_node(n));
-    const Lit a = mapping.lit(nd.fanin[0]);
-    const Lit b = mapping.lit(nd.fanin[1]);
-    const Lit c =
-        nd.num_fanins == 3 ? mapping.lit(nd.fanin[2]) : Lit{0};
-    encode_gate(solver, nd.type, y, a, b, c);
-  }
-}
-
-void encode_cone(const Network& net, const std::vector<Signal>& roots,
-                 Solver& solver, CnfMapping& mapping) {
-  // collect_cone_nodes uses local scratch (not the network's shared
-  // traversal marks), so concurrent encodes of disjoint solvers over one
-  // network -- the parallel CEC batches -- are safe; its ascending-id
-  // order also makes the variable numbering deterministic.
-  std::vector<NodeId> root_nodes;
-  root_nodes.reserve(roots.size());
-  for (const Signal s : roots) root_nodes.push_back(s.node());
-  std::vector<char> seen;
-  const std::vector<NodeId> cone =
-      collect_cone_nodes(net, root_nodes, /*follow_choices=*/false, seen);
-
-  for (const NodeId n : cone) {
-    if (mapping.has_var(n)) continue;
-    const Var v = solver.new_var();
-    mapping.set_var(n, v);
-    if (net.is_const0(n)) solver.add_clause(mk_lit(v, true));
-  }
-  for (const NodeId n : cone) {
     const Node& nd = net.node(n);
     if (!net.is_gate(n)) continue;
     const Lit y = mk_lit(mapping.var_of_node(n));

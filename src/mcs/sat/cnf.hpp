@@ -15,6 +15,12 @@ class CnfMapping {
  public:
   explicit CnfMapping(std::size_t num_nodes) : node_var_(num_nodes, -1) {}
 
+  std::size_t size() const noexcept { return node_var_.size(); }
+  /// Extends the mapping to \p num_nodes nodes (new ones unmapped).
+  void grow(std::size_t num_nodes) {
+    if (num_nodes > node_var_.size()) node_var_.resize(num_nodes, -1);
+  }
+
   Var var_of_node(NodeId n) const noexcept { return node_var_[n]; }
   bool has_var(NodeId n) const noexcept { return node_var_[n] >= 0; }
   void set_var(NodeId n, Var v) noexcept { node_var_[n] = v; }
@@ -33,15 +39,6 @@ class CnfMapping {
 /// \p mapping (enables PI sharing for miters).  The constant node is encoded
 /// as a variable forced to 0.
 void encode_network(const Network& net, Solver& solver, CnfMapping& mapping);
-
-/// Encodes only the transitive fanin cones of \p roots (fanin edges; choice
-/// lists are not followed).  Nodes already carrying a variable in
-/// \p mapping keep it (PI sharing for miters); cone nodes without one get
-/// fresh variables; the constant node is encoded iff some cone reaches it.
-/// This is what the per-PO-batch parallel miter uses: each batch pays for
-/// its own cone, not for the whole network.
-void encode_cone(const Network& net, const std::vector<Signal>& roots,
-                 Solver& solver, CnfMapping& mapping);
 
 /// Adds the clauses for a single gate given fanin literals.
 void encode_gate(Solver& solver, GateType type, Lit out, Lit a, Lit b, Lit c);

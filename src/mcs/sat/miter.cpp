@@ -1,30 +1,44 @@
 #include "mcs/sat/miter.hpp"
 
-#include "mcs/network/network_utils.hpp"
+#include <algorithm>
 
 namespace mcs::sat {
 
 void IncrementalMiter::encode(Signal s) {
-  if (cnf_.has_var(s.node())) return;
+  if (encoded(s.node())) return;
   encode(std::vector<Signal>{s});
 }
 
 std::vector<NodeId> IncrementalMiter::encode(
     const std::vector<Signal>& roots) {
-  // collect_cone_nodes uses caller-owned scratch (not the network's shared
-  // traversal marks), so concurrent miters over one network -- the
-  // parallel proof batches -- are safe; its ascending-id order makes the
-  // variable numbering deterministic and guarantees fanins are encoded
-  // before their fanouts.
-  std::vector<NodeId> root_nodes;
-  root_nodes.reserve(roots.size());
-  for (const Signal s : roots) root_nodes.push_back(s.node());
-  const std::vector<NodeId> cone =
-      collect_cone_nodes(net_, root_nodes, /*follow_choices=*/false, seen_);
-  for (const NodeId n : cone) {
+  // Own scratch rather than the network's shared traversal marks, so
+  // concurrent miters over one network -- the parallel proof batches --
+  // are safe.  The traversal stops at encoded nodes, so a miter that lives
+  // across many queries pays for each node once.
+  cnf_.grow(net_.size());
+  if (seen_.size() < net_.size()) seen_.resize(net_.size(), 0);
+  std::vector<NodeId> fresh;
+  std::vector<NodeId> stack;
+  const auto push = [&](NodeId n) {
+    if (cnf_.has_var(n) || seen_[n]) return;
+    seen_[n] = 1;
+    stack.push_back(n);
+    fresh.push_back(n);
+  };
+  for (const Signal s : roots) push(s.node());
+  while (!stack.empty()) {
+    const Node& nd = net_.node(stack.back());
+    stack.pop_back();
+    for (int i = 0; i < nd.num_fanins; ++i) push(nd.fanin[i].node());
+  }
+  for (const NodeId n : fresh) seen_[n] = 0;
+  // Ascending ids make the variable numbering deterministic and encode
+  // fanins before their fanouts.
+  std::sort(fresh.begin(), fresh.end());
+  num_encoded_ += fresh.size();
+  for (const NodeId n : fresh) {
     // Variables are only ever created here, together with the node's
     // clauses, so has_var(n) implies n is fully encoded.
-    if (cnf_.has_var(n)) continue;
     const Var v = solver_.new_var();
     cnf_.set_var(n, v);
     if (net_.is_const0(n)) {
@@ -37,7 +51,7 @@ std::vector<NodeId> IncrementalMiter::encode(
                 cnf_.lit(nd.fanin[1]),
                 nd.num_fanins == 3 ? cnf_.lit(nd.fanin[2]) : Lit{0});
   }
-  return cone;
+  return fresh;
 }
 
 Result IncrementalMiter::prove_equal(Signal a, Signal b,
@@ -72,7 +86,7 @@ void IncrementalMiter::assert_equal(Signal a, Signal b) {
 
 bool IncrementalMiter::pi_model(std::size_t i) const noexcept {
   const NodeId pi = net_.pi_at(i);
-  if (!cnf_.has_var(pi)) return false;
+  if (!encoded(pi)) return false;
   return solver_.model_value(cnf_.var_of_node(pi));
 }
 

@@ -3,14 +3,15 @@
 ///
 /// The SAT-sweeping engine (mcs/sweep) proves many candidate equalities
 /// against the same network.  Paying one monolithic encode_network per
-/// solver -- what the legacy sweep and DCH did -- makes every proof carry
-/// the whole circuit; paying a fresh solver per pair throws the learnt
-/// clauses away.  IncrementalMiter is the middle ground one worker holds
-/// per proof batch: cones are Tseitin-encoded lazily (a node is encoded at
-/// most once, shared cones are shared), each query is activated through a
-/// fresh assumption literal that is retired afterwards, and proven
-/// equalities can be asserted permanently so later miters over the same
-/// cone collapse (proof cascading).
+/// solver makes every proof carry the whole circuit; paying a fresh solver
+/// per pair throws the learnt clauses away.  IncrementalMiter is the
+/// middle ground one proof slot holds: cones are Tseitin-encoded lazily (a
+/// node is encoded at most once, shared cones are shared), each query is
+/// activated through a fresh assumption literal that is retired
+/// afterwards, and proven equalities can be asserted permanently so later
+/// miters over the same cone collapse (proof cascading).  The network may
+/// grow between calls (append-only, as the sweep's representative network
+/// does wave by wave); new nodes are picked up on the next encode.
 
 #pragma once
 
@@ -33,13 +34,15 @@ class IncrementalMiter {
   void encode(Signal s);
 
   /// Encodes the union of the fanin cones of all \p roots in a single
-  /// traversal (one scratch pass, however many roots) and returns the
-  /// union cone as an ascending node-id list, including nodes that were
-  /// already encoded.  This is the batch preamble of the sweeping engine:
-  /// collect once, encode once, then look equalities up by cone node.
+  /// traversal that stops at already-encoded nodes, and returns the newly
+  /// encoded nodes as an ascending node-id list.  This is the batch
+  /// preamble of the sweeping engine: encode once, then look equalities up
+  /// by new cone node.
   std::vector<NodeId> encode(const std::vector<Signal>& roots);
 
-  bool encoded(NodeId n) const noexcept { return cnf_.has_var(n); }
+  bool encoded(NodeId n) const noexcept {
+    return n < cnf_.size() && cnf_.has_var(n);
+  }
 
   /// Proves a == b: encodes both cones, activates a one-shot miter
   /// (t -> a != b) under assumption t and solves with \p conflict_limit
@@ -60,6 +63,8 @@ class IncrementalMiter {
   bool pi_model(std::size_t i) const noexcept;
 
   std::size_t num_clauses() const noexcept { return solver_.num_clauses(); }
+  /// Network nodes encoded so far (excludes activation variables).
+  std::size_t num_encoded() const noexcept { return num_encoded_; }
 
   /// Total solver conflicts over this miter's lifetime (effort metric; the
   /// sweep engine folds it into the sweep.conflicts counter per batch).
@@ -71,7 +76,8 @@ class IncrementalMiter {
   const Network& net_;
   Solver solver_;
   CnfMapping cnf_;
-  std::vector<char> seen_;  ///< cone-collection scratch
+  std::vector<char> seen_;  ///< cone-collection scratch (kept all-zero)
+  std::size_t num_encoded_ = 0;
 };
 
 }  // namespace mcs::sat

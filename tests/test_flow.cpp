@@ -271,6 +271,16 @@ TEST(FlowRun, FailedStageStopsTheFlow) {
       << report.error;
 }
 
+TEST(FlowRun, CecVerifiesMappedMultiplier) {
+  // Formal CEC of a 16-bit multiplier's LUT mapping against the generated
+  // netlist: the sweep of the strashed miter must decide it (the old
+  // side-by-side miter never finished on multipliers this wide).
+  FlowContext ctx;
+  const FlowReport report = flow::run_flow(
+      "gen:multiplier,bits=16; compress2rs; map_lut:k=6; cec", ctx);
+  EXPECT_TRUE(report.ok) << report.error;
+}
+
 TEST(FlowRun, SettingsPassesSteerTheParallelDrivers) {
   FlowContext ctx;
   const FlowReport report = flow::run_flow(

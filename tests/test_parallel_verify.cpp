@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "mcs/choice/dch.hpp"
 #include "mcs/circuits/circuits.hpp"
 #include "mcs/network/convert.hpp"
 #include "mcs/network/network_utils.hpp"
@@ -327,6 +328,48 @@ TEST(ParallelCec, SatStageFindsDeepDisagreement) {
     opts.sim_words = 4;  // 256 random vectors: won't hit the all-ones case
     EXPECT_EQ(check_equivalence(a, b, opts), CecResult::kNotEquivalent)
         << threads << " threads";
+  }
+}
+
+TEST(ParallelCec, VerdictThreadIndependentUnderFiniteBudget) {
+  // The sweep is bit-identical for any thread count and the remaining PO
+  // pairs are batched by the pair list alone, so even a budget small
+  // enough to leave pairs undecided yields one verdict for every thread
+  // count.
+  const Network net = expand_to_aig(circuits::multiplier(10));
+  const Network opt = compress2rs_like(net, GateBasis::xmg(), 1);
+  for (const std::int64_t budget : {0, 1, 10, 100}) {
+    CecOptions one;
+    one.num_threads = 1;
+    one.conflict_limit = budget;
+    const CecResult serial = check_equivalence(net, opt, one);
+    EXPECT_NE(serial, CecResult::kNotEquivalent) << "budget " << budget;
+    for (const int threads : {2, 4}) {
+      CecOptions many = one;
+      many.num_threads = threads;
+      EXPECT_EQ(check_equivalence(net, opt, many), serial)
+          << "budget " << budget << ", " << threads << " threads";
+    }
+  }
+}
+
+TEST(ParallelDch, ChoicesThreadIndependentUnderFiniteBudget) {
+  // DCH rides on the same engine: its choice network is bit-identical for
+  // 1 vs N threads, also under a small per-pair conflict budget.
+  const Network net = expand_to_aig(circuits::multiplier(8));
+  const std::vector<Network> snapshots{
+      net, balance(net), compress2rs_like(net, GateBasis::xmg(), 1)};
+  for (const std::int64_t budget : {5, 300}) {
+    DchParams one;
+    one.num_threads = 1;
+    one.conflict_limit = budget;
+    const Network serial = build_dch(snapshots, one);
+    for (const int threads : {2, 4}) {
+      DchParams many = one;
+      many.num_threads = threads;
+      EXPECT_TRUE(structurally_identical(serial, build_dch(snapshots, many)))
+          << "budget " << budget << ", " << threads << " threads";
+    }
   }
 }
 

@@ -1,15 +1,19 @@
-/// Tests for the CDCL solver (vs. brute force) and the equivalence checker.
+/// Tests for the CDCL solver (vs. brute force) and the equivalence checker
+/// (vs. the side-by-side reference miter in test_util.hpp).
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "mcs/common/rng.hpp"
+#include "mcs/map/lut_mapper.hpp"
 #include "mcs/network/network_utils.hpp"
+#include "mcs/opt/optimize.hpp"
 #include "mcs/sat/cec.hpp"
 #include "mcs/sat/cnf.hpp"
 #include "mcs/sat/solver.hpp"
 #include "mcs/sim/simulator.hpp"
+#include "mcs/sweep/sweep.hpp"
 #include "test_util.hpp"
 
 namespace mcs {
@@ -266,6 +270,86 @@ TEST(Cec, RandomNetworkAgainstItsSimulation) {
   const auto pos = simulate_pos(net);
   (void)pos;
   EXPECT_EQ(check_equivalence(net, cleanup(net)), CecResult::kEquivalent);
+}
+
+/// Copy of \p net with one fanin of one PO-reachable gate complemented
+/// (gate and fanin drawn from \p seed).  Usually, not always, a different
+/// function -- the oracle decides.
+Network flip_one_fanin(const Network& net, std::uint64_t seed) {
+  std::vector<NodeId> gates;
+  for (const NodeId n : topo_order(net)) {
+    if (net.is_gate(n)) gates.push_back(n);
+  }
+  Rng rng(seed);
+  const NodeId target = gates[rng.next_below(gates.size())];
+  const int flipped = static_cast<int>(
+      rng.next_below(static_cast<std::uint64_t>(net.node(target).num_fanins)));
+  Network dst;
+  std::vector<Signal> map(net.size());
+  map[0] = dst.constant(false);
+  for (std::size_t i = 0; i < net.num_pis(); ++i) {
+    map[net.pi_at(i)] = dst.create_pi();
+  }
+  for (NodeId n = 1; n < net.size(); ++n) {
+    if (!net.is_gate(n)) continue;
+    const Node& nd = net.node(n);
+    std::array<Signal, 3> in{};
+    for (int i = 0; i < nd.num_fanins; ++i) {
+      in[i] = map[nd.fanin[i].node()] ^ nd.fanin[i].complemented() ^
+              (n == target && i == flipped);
+    }
+    map[n] = dst.create_gate(nd.type, in);
+  }
+  for (const Signal s : net.pos()) {
+    dst.create_po(map[s.node()] ^ s.complemented());
+  }
+  return dst;
+}
+
+TEST(Cec, EngineMatchesReferenceOracle) {
+  // Differential check of the sweeping CEC against the side-by-side
+  // reference miter: equivalent rewrites (cleanup, balance, fraig, LUT
+  // round trip) and single-fanin mutations of seeded random networks, at 1
+  // and 4 threads, under an unlimited and a finite conflict budget.  The
+  // oracle itself is checked against exhaustive simulation.
+  int equivalent = 0;
+  int inequivalent = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const Network net = testing::random_network(
+        {.num_pis = 7, .num_gates = 70, .num_pos = 4, .seed = seed});
+    const std::vector<Network> others{
+        cleanup(net),
+        balance(net),
+        fraig(net),
+        lut_network_to_network(lut_map(net)),
+        flip_one_fanin(net, seed),
+        flip_one_fanin(net, seed + 1000),
+    };
+    const std::vector<TruthTable> truth = simulate_pos(net);
+    for (std::size_t k = 0; k < others.size(); ++k) {
+      const Network& other = others[k];
+      const CecResult expected = testing::reference_cec(net, other);
+      ASSERT_NE(expected, CecResult::kUnknown);
+      EXPECT_EQ(expected == CecResult::kEquivalent,
+                simulate_pos(other) == truth)
+          << "oracle vs exhaustive simulation, seed " << seed << " #" << k;
+      (expected == CecResult::kEquivalent ? equivalent : inequivalent)++;
+      for (const std::int64_t budget : {std::int64_t{-1}, std::int64_t{2000}}) {
+        ASSERT_EQ(testing::reference_cec(net, other, budget), expected);
+        for (const int threads : {1, 4}) {
+          CecOptions opts;
+          opts.num_threads = threads;
+          opts.conflict_limit = budget;
+          EXPECT_EQ(check_equivalence(net, other, opts), expected)
+              << "seed " << seed << " #" << k << " budget " << budget
+              << " threads " << threads;
+        }
+      }
+    }
+  }
+  EXPECT_GE(equivalent + inequivalent, 50);
+  EXPECT_GE(equivalent, 48);   // the four rewrites never change a function
+  EXPECT_GE(inequivalent, 12);
 }
 
 }  // namespace

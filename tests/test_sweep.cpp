@@ -1,15 +1,20 @@
-/// Tests for the mcs::sweep parallel SAT-sweeping (fraig) engine:
+/// Tests for the mcs::sweep cascading SAT-sweeping (fraig) engine:
 /// counterexample-driven class refinement (signature-equal but functionally
 /// different nodes must be split, never merged), the 1-vs-N-thread
 /// bit-identity contract, CEC of input vs fraiged output on the multiplier
-/// and adder benches, and the legacy sweep() delegation.
+/// and adder benches (structural resolution of the multiplier miters), the
+/// sweep.batch fault point, and the sweep() delegation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mcs/circuits/circuits.hpp"
+#include "mcs/fail/fail.hpp"
 #include "mcs/flow/flow.hpp"
 #include "mcs/network/convert.hpp"
 #include "mcs/network/network_utils.hpp"
+#include "mcs/obs/obs.hpp"
 #include "mcs/opt/optimize.hpp"
 #include "mcs/sat/cec.hpp"
 #include "mcs/sim/simulator.hpp"
@@ -178,11 +183,11 @@ TEST(Sweep, Adder256CecEquivalent) {
   EXPECT_EQ(check_equivalence(net, result, copts), CecResult::kEquivalent);
 }
 
-TEST(Sweep, Mult64CecNotFalsified) {
-  // 64-bit multiplier (~44k AIG gates).  Multiplier miters are SAT-hard,
-  // so the formal stage runs under a conflict budget: the verdict must
-  // never be NotEquivalent (kUnknown is an accepted resource-limit answer,
-  // and the 64-word random-simulation stage must already agree).
+TEST(Sweep, Mult64CecEquivalent) {
+  // 64-bit multiplier (~44k AIG gates) against its fraig: the strashed
+  // miter's sweep merges the two copies wave by wave, so the formal check
+  // decides under an unlimited budget instead of facing a monolithic
+  // multiplier miter.
   const Network net = expand_to_aig(circuits::multiplier(64));
   FraigParams params;
   params.num_threads = 4;
@@ -191,8 +196,70 @@ TEST(Sweep, Mult64CecNotFalsified) {
   EXPECT_EQ(sim_falsify(net, result, 64, 0xf4a16, 4), -1);
   CecOptions copts;
   copts.num_threads = 4;
-  copts.conflict_limit = 500;  // per PO batch; every batch burns it fully
-  EXPECT_NE(check_equivalence(net, result, copts), CecResult::kNotEquivalent);
+  EXPECT_EQ(check_equivalence(net, result, copts), CecResult::kEquivalent);
+}
+
+TEST(Sweep, Mult32MiterResolvesStructurally) {
+  // The mult32-vs-fraig(mult32) miter holds thousands of candidate pairs;
+  // bottom-up structural merging in the representative network must
+  // resolve nearly all of them without SAT.
+  const Network net = expand_to_aig(circuits::multiplier(32));
+  const Network fraiged = fraig(net);
+  obs::Counter& sat_calls = obs::counter("sweep.sat_calls");
+  const std::uint64_t before = sat_calls.value();
+  EXPECT_EQ(check_equivalence(net, fraiged), CecResult::kEquivalent);
+  EXPECT_LE(sat_calls.value() - before, 4u);
+}
+
+TEST(Sweep, LateFactsSurviveLaterMerges) {
+  // A deep multiplier (low ids) next to a rewritten balanced copy (high
+  // ids) over shared PIs: most equalities have a representative deeper
+  // than their member, so later rounds replay them only when the
+  // representative's wave is built -- after that round's own merges have
+  // grown the proven list.  One signature word leaves enough false
+  // candidates to force a refinement round.
+  const Network deep = expand_to_aig(circuits::multiplier(10));
+  const Network shallow = rewrite(balance(deep));
+  Network net;
+  std::vector<Signal> pis;
+  for (std::size_t i = 0; i < deep.num_pis(); ++i) {
+    pis.push_back(net.create_pi());
+  }
+  for (const Network* src : {&deep, &shallow}) {
+    for (const Signal s : src->pos()) {
+      net.create_po(copy_cone(*src, net, s, pis));
+    }
+  }
+  FraigParams params;
+  params.sim_words = 1;
+  FraigStats stats;
+  const std::vector<ProvenEquiv> proven =
+      sweep_equivalences(net, params, &stats);
+  ASSERT_GE(stats.num_rounds, 2u);
+  EXPECT_TRUE(std::any_of(proven.begin(), proven.end(),
+                          [&](const ProvenEquiv& e) {
+                            return net.level(e.repr) > net.level(e.node);
+                          }));
+  // Every PO pair of the two copies is merged onto one signal.
+  const Network swept = fraig(net, params);
+  for (std::size_t i = 0; i < deep.num_pos(); ++i) {
+    EXPECT_EQ(swept.po_at(i), swept.po_at(i + deep.num_pos()));
+  }
+}
+
+TEST(Sweep, BatchFaultFailsTheSweepCleanly) {
+  // The sweep.batch injection site: a throwing proof batch surfaces as an
+  // exception from fraig() (min-index capture), never a crash, and the
+  // engine works again once disarmed.
+  FraigParams params;
+  params.sim_words = 64;
+  params.num_threads = 4;
+  const NeedleNetwork needle = make_needle(params.sim_words, params.sim_seed);
+  fail::configure("sweep.batch=throw");
+  EXPECT_THROW(fraig(needle.net, params), fail::InjectedFault);
+  fail::disable();
+  const Network result = fraig(needle.net, params);
+  EXPECT_EQ(check_equivalence(needle.net, result), CecResult::kEquivalent);
 }
 
 TEST(Sweep, AdderMiterCollapsesToConstants) {

@@ -1,7 +1,9 @@
 #include "mcs/resyn/npn_db.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
-#include <map>
+#include <mutex>
 
 #include "mcs/network/network_utils.hpp"
 #include "mcs/obs/obs.hpp"
@@ -10,92 +12,65 @@
 
 namespace mcs {
 
-namespace {
+NpnDatabase::NpnDatabase(GateBasis basis, Objective objective)
+    : classes_(build_classes(basis, objective)) {}
 
-/// Depth of a signal's cone in a scratch network whose levels are exact.
-std::uint32_t cone_depth(const Network& net, Signal s) {
-  return net.node(s.node()).level;
-}
-
-/// Number of gates in the cone of \p s.
-std::size_t cone_size(const Network& net, Signal s) {
-  if (!net.is_gate(s.node())) return 0;
-  std::size_t n = 0;
-  net.new_traversal();
-  std::vector<NodeId> stack{s.node()};
-  net.mark(s.node());
-  while (!stack.empty()) {
-    const NodeId id = stack.back();
-    stack.pop_back();
-    ++n;
-    const Node& nd = net.node(id);
-    for (int i = 0; i < nd.num_fanins; ++i) {
-      const NodeId c = nd.fanin[i].node();
-      if (net.is_gate(c) && !net.marked(c)) {
-        net.mark(c);
-        stack.push_back(c);
-      }
-    }
-  }
-  return n;
-}
-
-}  // namespace
-
-const NpnDatabase::Entry& NpnDatabase::entry_for(Tt6 canon) {
-  const auto key = static_cast<std::uint16_t>(canon & tt6_mask(4));
-  if (auto it = classes_.find(key); it != classes_.end()) return it->second;
-
-  // Lazy class synthesis fills a shared (thread-local) cache whose cost is
-  // amortized over every later caller -- it is not work of the job that
-  // happens to miss first.  Detach metric attribution for the synthesis so
-  // per-job deltas stay bit-identical regardless of cache warmth (the
-  // process-wide registry still sees the counters).
+NpnDatabase::ClassMap NpnDatabase::build_classes(GateBasis basis,
+                                                 Objective objective) {
+  // The build is shared by every later caller -- it is not work of the job
+  // whose call happens to come first.  Detach metric attribution for it so
+  // per-job deltas stay bit-identical whoever triggers it (the process-wide
+  // registry still sees the counters).
   obs::Scope detached(nullptr);
-
-  // Synthesize the canonical function with each candidate strategy into its
-  // own scratch network; keep the best under the objective.
-  const TruthTable f = TruthTable::from_tt6(canon, 4);
 
   const SopStrategy sop;
   const DsdStrategy dsd;
   const ShannonStrategy shannon;
   const ResynStrategy* candidates[] = {&sop, &dsd, &shannon};
+  const auto cost = [objective](const Entry& x) {
+    return objective == Objective::kLevel
+               ? std::make_pair(static_cast<std::size_t>(x.depth), x.size)
+               : std::make_pair(x.size, static_cast<std::size_t>(x.depth));
+  };
 
-  Entry best;
-  bool have_best = false;
-  for (const ResynStrategy* strat : candidates) {
-    Entry e;
-    std::vector<Signal> leaves;
-    for (int i = 0; i < 4; ++i) leaves.push_back(e.net.create_pi());
-    const auto root = strat->synthesize(e.net, basis_, f, leaves);
-    assert(root.has_value());
-    e.root = *root;
-    e.depth = cone_depth(e.net, e.root);
-    e.size = cone_size(e.net, e.root);
-    const auto cost = [this](const Entry& x) {
-      return objective_ == Objective::kLevel
-                 ? std::make_pair(static_cast<std::size_t>(x.depth), x.size)
-                 : std::make_pair(x.size, static_cast<std::size_t>(x.depth));
-    };
-    if (!have_best || cost(e) < cost(best)) {
-      best = std::move(e);
-      have_best = true;
+  ClassMap classes;
+  std::vector<char> seen;
+  for (std::uint32_t key = 0; key < (1u << 16); ++key) {
+    const Tt6 canon = npn4_canonicalize(key).canon;
+    if ((canon & tt6_mask(4)) != key) continue;  // not a class minimum
+
+    // Synthesize the canonical function with each candidate strategy into
+    // its own scratch network; keep the best under the objective.
+    const TruthTable f = TruthTable::from_tt6(canon, 4);
+    std::optional<Entry> best;
+    for (const ResynStrategy* strat : candidates) {
+      Entry e;
+      std::vector<Signal> leaves;
+      for (int i = 0; i < 4; ++i) leaves.push_back(e.net.create_pi());
+      const auto root = strat->synthesize(e.net, basis, f, leaves);
+      assert(root.has_value());
+      e.root = *root;
+      e.depth = e.net.node(e.root.node()).level;  // scratch levels are exact
+      const auto cone = collect_cone_nodes(e.net, {e.root.node()}, false, seen);
+      e.size = std::count_if(cone.begin(), cone.end(),
+                             [&](NodeId n) { return e.net.is_gate(n); });
+      if (!best || cost(e) < cost(*best)) best = std::move(e);
     }
+    classes.emplace(static_cast<std::uint16_t>(key), std::move(*best));
   }
-  assert(have_best);
-  return classes_.emplace(key, std::move(best)).first->second;
+  return classes;
 }
 
 std::optional<Signal> NpnDatabase::instantiate(
-    Network& net, Tt6 f, int num_vars, const std::vector<Signal>& leaves) {
+    Network& net, Tt6 f, int num_vars,
+    const std::vector<Signal>& leaves) const {
   assert(static_cast<int>(leaves.size()) == num_vars);
   if (num_vars > 4) return std::nullopt;
 
   // Work in the 4-variable space (pad with vacuous variables).
-  const Tt6 f4 = tt6_replicate(f, num_vars);
-  const auto& canon = canon_cache_.canonicalize(f4);
-  const Entry& entry = entry_for(canon.canon);
+  const auto& canon = npn4_canonicalize(tt6_replicate(f, num_vars));
+  const Entry& entry =
+      classes_.at(static_cast<std::uint16_t>(canon.canon & tt6_mask(4)));
 
   // f(u) = out ^ canon(z) with z_j = u[perm[j]] ^ flips[perm[j]]
   // (composition of the canonicalizing transform with the identity).
@@ -117,20 +92,14 @@ std::optional<Signal> NpnDatabase::instantiate(
 }
 
 NpnDatabase& NpnDatabase::shared(GateBasis basis, Objective objective) {
-  // One instance per (basis, objective) *per thread*: lookups mutate the
-  // database (lazy class synthesis + canonicalization cache), so sharing
-  // across mcs::par workers would need a lock on the hot path.  Entries are
-  // pure functions of the key, so per-thread copies are bit-identical and
-  // parallel results stay independent of the thread count; the 222-class
-  // NPN-4 space makes the duplication cheap.
-  static thread_local std::map<std::pair<int, int>, NpnDatabase> instances;
-  const int basis_key = (basis.use_xor ? 1 : 0) | (basis.use_maj ? 2 : 0);
-  const auto key = std::make_pair(basis_key, static_cast<int>(objective));
-  auto it = instances.find(key);
-  if (it == instances.end()) {
-    it = instances.emplace(key, NpnDatabase(basis, objective)).first;
-  }
-  return it->second;
+  // Two basis flags and two objectives make eight keys, each built once.
+  static std::array<std::once_flag, 8> once;
+  static std::array<std::optional<NpnDatabase>, 8> instances;
+  const int key = (basis.use_xor ? 1 : 0) | (basis.use_maj ? 2 : 0) |
+                  (objective == Objective::kArea ? 4 : 0);
+  std::call_once(once[key],
+                 [&] { instances[key].emplace(basis, objective); });
+  return *instances[key];
 }
 
 }  // namespace mcs

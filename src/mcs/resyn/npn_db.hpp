@@ -1,6 +1,5 @@
 /// \file npn_db.hpp
-/// \brief Lazily built databases of optimized structures for 4-input NPN
-/// classes.
+/// \brief Databases of optimized structures for all 4-input NPN classes.
 ///
 /// This is the "4-input NPN library" used by the level-oriented synthesis
 /// strategy of the paper (Sec. III-A, citing fast NPN-based Boolean
@@ -8,7 +7,9 @@
 /// structures (DSD, SOP factoring, Shannon) in the requested gate basis,
 /// keep the best one under the chosen objective, and replay it whenever an
 /// NPN-equivalent cut function must be realized.  The 4-input space has only
-/// 222 classes, so the lazy cache converges almost immediately.
+/// 222 classes, so each (basis, objective) database is built in full once
+/// per process (~15 ms) and is immutable afterwards: every thread reads the
+/// same instance, with no lock and no per-thread copy.
 
 #pragma once
 
@@ -26,31 +27,19 @@ class NpnDatabase {
  public:
   enum class Objective { kLevel, kArea };
 
-  NpnDatabase(GateBasis basis, Objective objective)
-      : basis_(basis), objective_(objective) {}
+  /// Synthesizes all 222 classes for \p basis under \p objective.
+  NpnDatabase(GateBasis basis, Objective objective);
 
   /// Realizes the (<= 4 variable) function \p f over \p leaves in \p net.
   /// Returns std::nullopt for functions of more than 4 support variables.
   std::optional<Signal> instantiate(Network& net, Tt6 f, int num_vars,
-                                    const std::vector<Signal>& leaves);
+                                    const std::vector<Signal>& leaves) const;
 
-  /// Shared per-basis/objective instances (the strategies are stateless
-  /// apart from this cache).
-  ///
-  /// **Concurrency contract (multi-job server).**  The instances are
-  /// `thread_local`: every pool worker / job-runner thread lazily builds
-  /// its own copy per (basis, objective) key, so there is no locking and
-  /// no cross-thread mutation.  This stays correct when *jobs from
-  /// different flows interleave on the same worker* (the mcs::server
-  /// case) because an entry's content is a pure function of its key --
-  /// which NPN class, which basis, which objective -- never of who asked
-  /// first or in what order: a rewrite in job A warms exactly the cache a
-  /// rewrite in job B would have built, bit for bit.  Memory stays
-  /// bounded by the 222-class NPN-4 space per key per thread; a
-  /// long-lived server does not grow it beyond one warm set per worker.
-  /// tests/test_server.cpp locks this in: two different rewrite-heavy
-  /// flows through concurrent server jobs produce networks bit-identical
-  /// to their serial runs.
+  /// The process-wide instance per (basis, objective), built on the first
+  /// call for its key (thread-safe one-time initialization) and never
+  /// changed afterwards.  Concurrent jobs and pool workers share it
+  /// read-only: instantiate() only reads the class networks through
+  /// copy_cone, which touches none of their mutable traversal state.
   static NpnDatabase& shared(GateBasis basis, Objective objective);
 
   std::size_t num_classes() const noexcept { return classes_.size(); }
@@ -63,13 +52,11 @@ class NpnDatabase {
     std::uint32_t depth = 0;
     std::size_t size = 0;
   };
+  using ClassMap = std::unordered_map<std::uint16_t, Entry>;
 
-  const Entry& entry_for(Tt6 canon);
+  static ClassMap build_classes(GateBasis basis, Objective objective);
 
-  GateBasis basis_;
-  Objective objective_;
-  std::unordered_map<std::uint16_t, Entry> classes_;
-  Npn4Cache canon_cache_;
+  const ClassMap classes_;  ///< canonical function (16 bits) -> structure
 };
 
 }  // namespace mcs

@@ -185,9 +185,8 @@ std::optional<Signal> NpnStrategy::synthesize(
   sub_leaves.reserve(old_index.size());
   for (const int idx : old_index) sub_leaves.push_back(leaves[idx]);
 
-  auto& db = NpnDatabase::shared(basis, objective_);
-  return db.instantiate(net, g.num_vars() <= 6 ? g.to_tt6() : 0,
-                        g.num_vars(), sub_leaves);
+  return NpnDatabase::shared(basis, objective_)
+      .instantiate(net, g.to_tt6(), g.num_vars(), sub_leaves);
 }
 
 StrategyLibrary StrategyLibrary::level_oriented() {

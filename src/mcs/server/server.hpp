@@ -69,13 +69,13 @@
 ///
 /// **Multi-tenant safety.**  Jobs share pool workers, so process-wide
 /// state must be either immutable, thread-local, or observation-only.
-/// The audit (PR 7): ThreadPool::global() is result-neutral by the
-/// determinism contract; obs never feeds back; the pass registry is
-/// immutable after first access; `NpnDatabase::shared` is thread_local
-/// with entries that are pure functions of the class key (see
-/// npn_db.hpp), so interleaving jobs on one worker cannot change any
-/// result -- tests/test_server.cpp proves two concurrent flows are
-/// bit-identical to their serial runs.
+/// The audit: ThreadPool::global() is result-neutral by the determinism
+/// contract; obs never feeds back; the pass registry is immutable after
+/// first access; the NPN-4 table (`npn4_canonicalize`) and each
+/// `NpnDatabase::shared` instance are built in full once per process and
+/// only read afterwards (see npn_db.hpp), so no job can see state another
+/// job left behind -- tests/test_server.cpp proves two concurrent flows
+/// are bit-identical to their serial runs.
 
 #pragma once
 

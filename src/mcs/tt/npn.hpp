@@ -11,7 +11,6 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 
 #include "mcs/tt/tt6.hpp"
 
@@ -69,18 +68,11 @@ struct NpnMatch {
 [[nodiscard]] NpnMatch npn_match(const NpnTransform& tf,
                                  const NpnTransform& tg) noexcept;
 
-/// Memoizing wrapper around exact canonicalization for 4-variable functions.
-/// The 4-input space has only 65536 functions and 222 NPN classes, so the
-/// cache converges very quickly in rewriting loops.
-class Npn4Cache {
- public:
-  /// \p f is interpreted as a 4-variable function (low 16 bits, replicated).
-  const NpnCanonResult& canonicalize(Tt6 f);
-
-  std::size_t size() const noexcept { return cache_.size(); }
-
- private:
-  std::unordered_map<std::uint16_t, NpnCanonResult> cache_;
-};
+/// Exact NPN canonicalization of a 4-variable function (\p f's low 16 bits)
+/// by lookup.  Returns exactly what npn_canonicalize_exact(f, 4) returns --
+/// the same class representative *and* the same transform -- from one
+/// immutable table of all 65,536 functions, built once per process on
+/// first use and shared read-only by every thread.
+[[nodiscard]] const NpnCanonResult& npn4_canonicalize(Tt6 f);
 
 }  // namespace mcs

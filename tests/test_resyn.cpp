@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
 #include <tuple>
 
 #include "mcs/common/rng.hpp"
@@ -23,6 +25,59 @@ TruthTable random_tt(int num_vars, Rng& rng) {
     t.words()[0] = tt6_replicate(t.words()[0], num_vars);
   }
   return t;
+}
+
+/// Instantiates every 97th 4-input function through \p db into one fresh
+/// network, one PO each.
+Network instantiate_spread(const NpnDatabase& db) {
+  Network net;
+  std::vector<Signal> leaves;
+  for (int i = 0; i < 4; ++i) leaves.push_back(net.create_pi());
+  for (std::uint32_t f = 0; f < (1u << 16); f += 97) {
+    const auto root = db.instantiate(net, f, 4, leaves);
+    if (root) net.create_po(*root);
+  }
+  return net;
+}
+
+// Defined first in the file so that, in the default order, it makes the
+// process's first NpnDatabase::shared calls: 8 threads released at once
+// race on the one-time builds of 4 keys (2 threads per key), so both the
+// same-key and the different-key initializations overlap.
+TEST(NpnDatabase, RacingFirstCallsShareOneInstancePerKey) {
+  const std::pair<GateBasis, NpnDatabase::Objective> keys[] = {
+      {GateBasis::xmg(), NpnDatabase::Objective::kLevel},
+      {GateBasis::xmg(), NpnDatabase::Objective::kArea},
+      {GateBasis::aig(), NpnDatabase::Objective::kArea},
+      {GateBasis::mig(), NpnDatabase::Objective::kLevel},
+  };
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<const NpnDatabase*> seen(kThreads);
+  std::vector<Network> built(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const auto& [basis, objective] = keys[t % 4];
+      start.arrive_and_wait();
+      const NpnDatabase& db = NpnDatabase::shared(basis, objective);
+      seen[t] = &db;
+      built[t] = instantiate_spread(db);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    const auto& [basis, objective] = keys[t % 4];
+    const NpnDatabase& db = NpnDatabase::shared(basis, objective);
+    EXPECT_EQ(seen[t], &db) << "thread " << t;
+    EXPECT_EQ(db.num_classes(), 222u);
+    EXPECT_TRUE(structurally_identical(built[t], instantiate_spread(db)))
+        << "thread " << t << " built a different network";
+  }
+  for (int t = 0; t < 4; ++t) {
+    for (int u = t + 1; u < 4; ++u) EXPECT_NE(seen[t], seen[u]);
+  }
 }
 
 class IsopRoundTrip : public ::testing::TestWithParam<int> {};
@@ -206,23 +261,29 @@ TEST(DsdStrategy, DetectsMajorityTop) {
   EXPECT_EQ(net.num_gates(), 1u) << "MAJ(a,b,c) is a single MIG node";
 }
 
-TEST(NpnDatabase, CoversAllClassesLazily) {
-  auto& db = NpnDatabase::shared(GateBasis::xmg(), NpnDatabase::Objective::kLevel);
-  Network net;
-  std::vector<Signal> leaves;
-  for (int i = 0; i < 4; ++i) leaves.push_back(net.create_pi());
-  Rng rng(31);
-  for (int iter = 0; iter < 300; ++iter) {
-    const Tt6 f = tt6_replicate(rng.next(), 4);
-    const auto root = db.instantiate(net, f, 4, leaves);
-    ASSERT_TRUE(root.has_value());
-    // Validate against simulation.
-    const TruthTable expected = TruthTable::from_tt6(f, 4);
-    std::vector<NodeId> pis(net.pis());
-    EXPECT_EQ(cone_function(net, *root, pis), expected);
+TEST(NpnDatabase, CoversAllClassesAndFunctions) {
+  const std::pair<GateBasis, NpnDatabase::Objective> keys[] = {
+      {GateBasis::xmg(), NpnDatabase::Objective::kLevel},
+      {GateBasis::aig(), NpnDatabase::Objective::kArea},
+  };
+  for (const auto& [basis, objective] : keys) {
+    const NpnDatabase& db = NpnDatabase::shared(basis, objective);
+    EXPECT_EQ(db.num_classes(), 222u) << "4-input NPN classes, built up front";
+    Network net;
+    std::vector<Signal> leaves;
+    for (int i = 0; i < 4; ++i) leaves.push_back(net.create_pi());
+    for (std::uint32_t f = 0; f < (1u << 16); ++f) {
+      const auto root = db.instantiate(net, f, 4, leaves);
+      ASSERT_TRUE(root.has_value());
+      net.create_po(*root);
+    }
+    const auto pos = simulate_pos(net);
+    for (std::uint32_t f = 0; f < (1u << 16); ++f) {
+      ASSERT_EQ(pos[f], TruthTable::from_tt6(f, 4))
+          << basis.name() << " f=" << f;
+    }
+    EXPECT_EQ(db.num_classes(), 222u);
   }
-  EXPECT_LE(db.num_classes(), 222u) << "4-input NPN classes";
-  EXPECT_GE(db.num_classes(), 100u) << "random sampling should hit most";
 }
 
 TEST(StrategyLibrary, BundlesAreNonEmpty) {

@@ -4,7 +4,7 @@
 /// every flow error path (the daemon must stay healthy), drain semantics,
 /// and the multi-tenant determinism contract: concurrent jobs from
 /// *different* flows produce networks bit-identical to their serial runs
-/// (the `thread_local NpnDatabase::shared` regression).
+/// (the process-wide `NpnDatabase::shared` tables regression).
 
 #include <gtest/gtest.h>
 
@@ -501,10 +501,10 @@ TEST(JobServer, DrainFinishesAcceptedWorkAndRejectsNew) {
 // --- server: multi-tenant determinism ---------------------------------------
 
 /// Two *different* rewrite-heavy flows (different bases, so different
-/// thread_local NpnDatabase::shared entries) run many times concurrently
-/// through the server; every run must be bit-identical to the serial
-/// run_flow result.  This is the regression for interleaving jobs on
-/// shared workers -- see NpnDatabase::shared's concurrency contract.
+/// NpnDatabase::shared instances) run many times concurrently through the
+/// server; every run must be bit-identical to the serial run_flow result.
+/// This is the regression for interleaving jobs on shared workers that
+/// read the same process-wide, build-once tables (see npn_db.hpp).
 TEST(JobServer, ConcurrentMixedFlowsMatchSerialBitForBit) {
   const std::string dir = ::testing::TempDir();
   const std::string flow_a =

@@ -1,11 +1,9 @@
 #include "mcs/choice/mch.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "mcs/cut/enumeration.hpp"
 #include "mcs/network/network_utils.hpp"
-#include "mcs/sim/simulator.hpp"
 
 namespace mcs {
 
@@ -41,8 +39,7 @@ std::vector<bool> collect_critical_nodes(const Network& net, double ratio) {
 namespace {
 
 /// Attempts to attach the candidate rooted at \p cand as a choice of \p n.
-void try_attach(Network& net, NodeId n, Signal cand, const MchParams& params,
-                const RandomSimulation* sim, MchStats& stats) {
+void try_attach(Network& net, NodeId n, Signal cand, MchStats& stats) {
   ++stats.num_candidates_tried;
   const NodeId c = cand.node();
   if (c == n) {
@@ -64,8 +61,6 @@ void try_attach(Network& net, NodeId n, Signal cand, const MchParams& params,
   const bool phase = cand.complemented();
   net.add_choice(n, c, phase);
   ++stats.num_choices_added;
-  (void)sim;
-  (void)params;
 }
 
 /// Counts current members of a class.
@@ -109,10 +104,6 @@ Network build_mch(const Network& input, const MchParams& params,
   const StrategyLibrary& area_lib =
       params.area_lib ? *params.area_lib : default_area;
 
-  // Optional defensive verification uses one simulation of the final net;
-  // cheaper to verify per candidate against the cut function, which is
-  // already guaranteed, so we verify classes at the end instead.
-
   // Lines 4 (Algorithm 2): multi-strategy structural choices.
   for (NodeId n = 1; n < original_size; ++n) {
     if (!net.is_gate(n)) continue;
@@ -130,7 +121,7 @@ Network build_mch(const Network& input, const MchParams& params,
         const auto cand =
             strategy->synthesize(net, params.candidate_basis, f, leaves);
         if (!cand) continue;
-        try_attach(net, n, *cand, params, nullptr, stats);
+        try_attach(net, n, *cand, stats);
       }
     };
 
@@ -167,23 +158,6 @@ Network build_mch(const Network& input, const MchParams& params,
         leaves.reserve(mffc.leaves.size());
         for (const NodeId leaf : mffc.leaves) leaves.emplace_back(leaf, false);
         synthesize_from(f, leaves);
-      }
-    }
-  }
-
-  // Defensive verification: every choice class must agree under random
-  // simulation (candidates are correct by construction; this catches
-  // phase-bookkeeping regressions in O(#nodes) time).
-  if (params.verify_candidates) {
-    RandomSimulation sim(net, /*num_words=*/8, /*seed=*/0xabcdef);
-    for (NodeId n = 0; n < net.size(); ++n) {
-      if (!net.has_choice(n)) continue;
-      for (NodeId m = net.node(n).next_choice; m != kNullNode;
-           m = net.node(m).next_choice) {
-        const bool phase = net.node(m).choice_phase;
-        assert(sim.values_equal(Signal(n, false), Signal(m, phase)) &&
-               "MCH candidate disagrees with its representative");
-        (void)phase;
       }
     }
   }

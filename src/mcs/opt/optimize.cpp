@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
+#include <optional>
 #include <queue>
-#include <unordered_map>
 
 #include "mcs/cut/enumeration.hpp"
 #include "mcs/network/network_utils.hpp"
 #include "mcs/resyn/npn_db.hpp"
 #include "mcs/resyn/sop.hpp"
 #include "mcs/resyn/strategies.hpp"
-#include "mcs/sat/cnf.hpp"
-#include "mcs/sat/solver.hpp"
+#include "mcs/obs/obs.hpp"
+#include "mcs/sat/miter.hpp"
 #include "mcs/sim/simulator.hpp"
 #include "mcs/sweep/sweep.hpp"
 
@@ -186,19 +185,15 @@ std::vector<NodeId> divisor_window(const Network& net, NodeId n,
 }  // namespace
 
 Network resub(const Network& net, const ResubParams& params) {
+  static obs::Counter& sat_calls = obs::counter("opt.resub.sat_calls");
+  static obs::Counter& replaced = obs::counter("opt.resub.replaced");
   RandomSimulation sim(net, params.sim_words, params.sim_seed);
-  auto solver_ptr = std::make_unique<sat::Solver>();
-  auto cnf_ptr = std::make_unique<sat::CnfMapping>(net.size());
-  sat::encode_network(net, *solver_ptr, *cnf_ptr);
-  const std::size_t base_clauses = solver_ptr->num_clauses();
-  auto refresh_solver = [&]() {
-    if (solver_ptr->num_clauses() >
-        base_clauses + params.solver_clause_budget) {
-      solver_ptr = std::make_unique<sat::Solver>();
-      cnf_ptr = std::make_unique<sat::CnfMapping>(net.size());
-      sat::encode_network(net, *solver_ptr, *cnf_ptr);
-    }
-  };
+  // Candidates are strashed into a working copy of the network.  One that
+  // lands on the node itself is its own gate and needs no proof; the rest
+  // are proven on one miter over the copy, which encodes only the cones
+  // its queries touch.
+  Network work = net;
+  sat::IncrementalMiter miter(work);
 
   struct Replacement {
     GateType type;
@@ -251,27 +246,23 @@ Network resub(const Network& net, const ResubParams& params) {
           }
           if (!eq && !eq_compl) continue;
           const bool phase = !eq;
+          const Signal a(window[i], op.ca);
+          const Signal b(window[j], op.cb);
+          const Signal cand = (op.type == GateType::kAnd2
+                                   ? work.create_and(a, b)
+                                   : work.create_xor(a, b)) ^
+                              phase;
+          if (cand == Signal(n, false)) {
+            done = true;  // n's own gate: nothing to replace
+            break;
+          }
           // SAT proof: n == op(a, b) ^ phase everywhere.
-          refresh_solver();
-          sat::Solver& solver = *solver_ptr;
-          sat::CnfMapping& cnf = *cnf_ptr;
-          const sat::Var g = solver.new_var();
-          sat::encode_gate(solver, op.type, sat::mk_lit(g),
-                           sat::mk_lit(cnf.var_of_node(window[i]), op.ca),
-                           sat::mk_lit(cnf.var_of_node(window[j]), op.cb),
-                           0);
-          const sat::Var t = solver.new_var();
-          const sat::Lit lt = sat::mk_lit(t);
-          const sat::Lit ln = sat::mk_lit(cnf.var_of_node(n));
-          const sat::Lit lg = sat::mk_lit(g, phase);
-          solver.add_clause(sat::negate(lt), ln, lg);
-          solver.add_clause(sat::negate(lt), sat::negate(ln),
-                            sat::negate(lg));
-          if (solver.solve({lt}, params.conflict_limit) ==
+          sat_calls.increment();
+          if (miter.prove_equal(Signal(n, false), cand,
+                                params.conflict_limit) ==
               sat::Result::kUnsat) {
-            solver.add_clause(sat::negate(lt));
-            repl[n] = Replacement{op.type, Signal(window[i], op.ca),
-                                  Signal(window[j], op.cb), phase};
+            repl[n] = Replacement{op.type, a, b, phase};
+            replaced.increment();
             done = true;
             break;
           }

@@ -45,13 +45,15 @@ struct ResubParams {
   int sim_words = 16;
   std::uint64_t sim_seed = 0x0b5e55ed;
   std::int64_t conflict_limit = 300;
-  std::size_t solver_clause_budget = 60000;  ///< re-encode past this growth
   GateBasis basis = GateBasis::xmg();
 };
 
 /// Simulation-guided, SAT-verified resubstitution: re-expresses a node as
 /// one gate over two existing divisors when that saves its MFFC (the "rs"
-/// passes of ABC's compress2rs).
+/// passes of ABC's compress2rs).  A candidate that strashes onto the node's
+/// own gate is skipped without a proof; the others are proven on one
+/// sat::IncrementalMiter (counters `opt.resub.sat_calls`,
+/// `opt.resub.replaced`).
 Network resub(const Network& net, const ResubParams& params = {});
 
 struct RewriteParams {

@@ -1,5 +1,9 @@
 /// \file cnf.hpp
-/// \brief Tseitin encoding of mixed networks into CNF.
+/// \brief Tseitin encoding of mixed-network gates into CNF.
+///
+/// The node-to-variable map and the clauses of one gate.  Networks are
+/// encoded cone by cone, on demand, by sat::IncrementalMiter (miter.hpp);
+/// no caller encodes a whole network.
 
 #pragma once
 
@@ -33,12 +37,6 @@ class CnfMapping {
  private:
   std::vector<Var> node_var_;
 };
-
-/// Encodes every node of \p net (including choice members and dangling
-/// cones) into \p solver.  PIs get fresh variables unless pre-assigned in
-/// \p mapping (enables PI sharing for miters).  The constant node is encoded
-/// as a variable forced to 0.
-void encode_network(const Network& net, Solver& solver, CnfMapping& mapping);
 
 /// Adds the clauses for a single gate given fanin literals.
 void encode_gate(Solver& solver, GateType type, Lit out, Lit a, Lit b, Lit c);

@@ -1,17 +1,18 @@
 /// \file miter.hpp
 /// \brief Incremental, assumption-based equivalence miters over one network.
 ///
-/// The SAT-sweeping engine (mcs/sweep) proves many candidate equalities
-/// against the same network.  Paying one monolithic encode_network per
-/// solver makes every proof carry the whole circuit; paying a fresh solver
-/// per pair throws the learnt clauses away.  IncrementalMiter is the
-/// middle ground one proof slot holds: cones are Tseitin-encoded lazily (a
+/// The SAT-sweeping engine (mcs/sweep), CEC and resubstitution (mcs/opt)
+/// prove many candidate equalities against the same network.  Encoding the
+/// whole network up front makes every proof carry the whole circuit;
+/// paying a fresh solver per pair throws the learnt clauses away.
+/// IncrementalMiter is the middle ground: cones are Tseitin-encoded lazily (a
 /// node is encoded at most once, shared cones are shared), each query is
 /// activated through a fresh assumption literal that is retired
 /// afterwards, and proven equalities can be asserted permanently so later
 /// miters over the same cone collapse (proof cascading).  The network may
 /// grow between calls (append-only, as the sweep's representative network
-/// does wave by wave); new nodes are picked up on the next encode.
+/// does wave by wave and resub's working copy candidate by candidate); new
+/// nodes are picked up on the next encode.
 
 #pragma once
 

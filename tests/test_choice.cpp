@@ -16,23 +16,6 @@
 namespace mcs {
 namespace {
 
-/// Checks every choice class of \p net by random simulation + SAT.
-void expect_choices_valid(const Network& net) {
-  RandomSimulation sim(net, 8, 0x1234);
-  for (NodeId n = 0; n < net.size(); ++n) {
-    if (!net.has_choice(n)) continue;
-    for (NodeId m = net.node(n).next_choice; m != kNullNode;
-         m = net.node(m).next_choice) {
-      const bool phase = net.node(m).choice_phase;
-      ASSERT_TRUE(sim.values_equal(Signal(n, false), Signal(m, phase)))
-          << "class of node " << n << " member " << m;
-      ASSERT_EQ(check_signals_equivalent(net, Signal(n, false),
-                                         Signal(m, phase)),
-                CecResult::kEquivalent);
-    }
-  }
-}
-
 /// The augmented dependency order must exist and respect both edge kinds.
 void expect_choice_order_valid(const Network& net) {
   const auto order = choice_topo_order(net);
@@ -90,7 +73,6 @@ TEST_P(MchOnRandomNetworks, ChoicesAreValidAndOrderable) {
 
   MchParams params;
   params.candidate_basis = bases[basis_id];
-  params.verify_candidates = true;
   MchStats stats;
   const Network mch = build_mch(input, params, &stats);
 
@@ -103,7 +85,7 @@ TEST_P(MchOnRandomNetworks, ChoicesAreValidAndOrderable) {
   EXPECT_GT(stats.num_choices_added, 0u);
   EXPECT_EQ(stats.num_choices_added, mch.num_choices());
 
-  expect_choices_valid(mch);
+  EXPECT_TRUE(testing::choices_proven(mch));
   expect_choice_order_valid(mch);
 }
 
@@ -177,7 +159,7 @@ TEST(Dch, MergesSnapshotsIntoValidChoices) {
   EXPECT_EQ(check_equivalence(n1, dch), CecResult::kEquivalent);
   EXPECT_GT(stats.num_proven, 0u);
   EXPECT_GT(dch.num_choices(), 0u);
-  expect_choices_valid(dch);
+  EXPECT_TRUE(testing::choices_proven(dch));
   expect_choice_order_valid(dch);
 }
 
@@ -194,7 +176,7 @@ TEST(Dch, RandomNetworkWithRestructuredSnapshot) {
   DchStats stats;
   const Network dch = build_dch({base, expanded}, {}, &stats);
   EXPECT_EQ(check_equivalence(base, dch), CecResult::kEquivalent);
-  expect_choices_valid(dch);
+  EXPECT_TRUE(testing::choices_proven(dch));
   expect_choice_order_valid(dch);
 }
 

@@ -238,9 +238,11 @@ TEST_F(TxnTest, RetryCompletesBitIdenticalToUninjectedRun) {
   // Same flow under fire: the second mutating stage throws once, the
   // transactional runner rolls back and retries, and the result must be
   // the exact network the clean run produced.
+#ifndef MCS_OBS_DISABLE
   const std::uint64_t rollbacks_before =
       obs::counter("ckpt.rollbacks").value();
   const std::uint64_t retries_before = obs::counter("ckpt.retries").value();
+#endif
   fail::configure("flow.stage=throw,after=2,count=1");
   flow::FlowContext injected;
   injected.txn.snapshot = true;
@@ -283,7 +285,9 @@ TEST_F(TxnTest, RetryBudgetExhaustedFailsTheStage) {
 }
 
 TEST_F(TxnTest, SkipDropsTheStageAndTheFlowContinues) {
+#ifndef MCS_OBS_DISABLE
   const std::uint64_t skips_before = obs::counter("ckpt.skips").value();
+#endif
   fail::configure("flow.stage=throw,after=1");
   flow::FlowContext ctx;
   ctx.txn.snapshot = true;
@@ -325,8 +329,10 @@ TEST_F(TxnTest, FailPolicyStopsImmediatelyWithoutRollback) {
 TEST_F(TxnTest, ValidationFaultSiteTriggersRollback) {
   // flow.validate fires inside the post-stage audit window: the stage ran
   // and mutated the network, so recovery requires an actual rollback.
+#ifndef MCS_OBS_DISABLE
   const std::uint64_t rollbacks_before =
       obs::counter("ckpt.rollbacks").value();
+#endif
   fail::configure("flow.validate=throw,after=1,count=1");
   flow::FlowContext ctx;
   ctx.txn.snapshot = true;

@@ -17,6 +17,7 @@
 #include "mcs/opt/optimize.hpp"
 #include "mcs/sat/cec.hpp"
 #include "mcs/sim/simulator.hpp"
+#include "test_util.hpp"
 
 namespace mcs {
 namespace {
@@ -67,10 +68,9 @@ TEST(EdgeCases, MchOnSingleGateNetwork) {
   const Signal a = net.create_pi();
   const Signal b = net.create_pi();
   net.create_po(net.create_and(a, b));
-  MchParams params;
-  params.verify_candidates = true;
-  const Network mch = build_mch(net, params);
+  const Network mch = build_mch(net, MchParams{});
   EXPECT_EQ(check_equivalence(net, mch), CecResult::kEquivalent);
+  EXPECT_TRUE(testing::choices_proven(mch));
 }
 
 TEST(EdgeCases, CecWithTinyConflictLimitReturnsUnknownNotWrong) {

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include "mcs/circuits/circuits.hpp"
 #include "mcs/map/graph_mapper.hpp"
+#include "mcs/network/convert.hpp"
 #include "mcs/network/network_utils.hpp"
+#include "mcs/obs/obs.hpp"
 #include "mcs/opt/optimize.hpp"
 #include "mcs/sat/cec.hpp"
 #include "test_util.hpp"
@@ -120,11 +123,64 @@ TEST(Resub, RecoversSharedSubexpressions) {
 }
 
 TEST(Resub, PreservesFunctionOnSuiteCircuit) {
-  const Network net = cleanup(
-      testing::random_network({.num_pis = 8, .num_gates = 150, .seed = 91}));
+  for (const GateBasis basis : {GateBasis::aig(), GateBasis::xmg()}) {
+    for (const std::uint64_t seed : {91, 92, 93, 94, 95}) {
+      const Network net = cleanup(testing::random_network(
+          {.num_pis = 8, .num_gates = 150, .basis = basis, .seed = seed}));
+      ResubParams params;
+      params.basis = basis;
+      const Network rs = resub(net, params);
+      EXPECT_LE(rs.num_gates(), net.num_gates()) << "seed " << seed;
+      EXPECT_EQ(testing::reference_cec(net, rs), CecResult::kEquivalent)
+          << "seed " << seed;
+    }
+  }
+}
+
+TEST(Resub, LeavesAnAdderUntouchedWithoutSat) {
+  // Every AND node's first divisor pair is its own fanin pair, which
+  // strashes onto the node itself: no candidate reaches SAT and nothing
+  // is replaced.
+  const Network net = expand_to_aig(circuits::adder(16));
+#ifndef MCS_OBS_DISABLE  // counters are no-op stubs in the disabled build
+  const std::uint64_t calls_before =
+      obs::counter("opt.resub.sat_calls").value();
+  const std::uint64_t replaced_before =
+      obs::counter("opt.resub.replaced").value();
+#endif
   const Network rs = resub(net);
-  EXPECT_LE(rs.num_gates(), net.num_gates());
-  EXPECT_EQ(check_equivalence(net, rs), CecResult::kEquivalent);
+  EXPECT_TRUE(structurally_identical(rs, cleanup(net)));
+#ifndef MCS_OBS_DISABLE
+  EXPECT_EQ(obs::counter("opt.resub.sat_calls").value(), calls_before);
+  EXPECT_EQ(obs::counter("opt.resub.replaced").value(), replaced_before);
+#endif
+}
+
+TEST(Resub, ReplacesGatesOverTwoDivisors) {
+  // XOR3(a, b, a&b) == a|b and MAJ(c, d, c&d) == c&d: each node is one
+  // 2-input gate over two of its divisors, and replacing it frees the
+  // AND that only it reads.
+  Network net;
+  const Signal a = net.create_pi();
+  const Signal b = net.create_pi();
+  const Signal c = net.create_pi();
+  const Signal d = net.create_pi();
+  net.create_po(net.create_xor3(a, b, net.create_and(a, b)));
+  net.create_po(net.create_maj(c, d, net.create_and(c, d)));
+  ASSERT_EQ(net.num_gates(), 4u);
+#ifndef MCS_OBS_DISABLE  // counters are no-op stubs in the disabled build
+  const std::uint64_t calls_before =
+      obs::counter("opt.resub.sat_calls").value();
+  const std::uint64_t replaced_before =
+      obs::counter("opt.resub.replaced").value();
+#endif
+  const Network rs = resub(net);
+  EXPECT_LT(rs.num_gates(), net.num_gates());
+  EXPECT_EQ(testing::reference_cec(net, rs), CecResult::kEquivalent);
+#ifndef MCS_OBS_DISABLE
+  EXPECT_GE(obs::counter("opt.resub.sat_calls").value(), calls_before + 2);
+  EXPECT_EQ(obs::counter("opt.resub.replaced").value(), replaced_before + 2);
+#endif
 }
 
 TEST(Compress2rsLike, ImprovesRandomLogic) {

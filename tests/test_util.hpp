@@ -3,6 +3,8 @@
 
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <vector>
 
 #include "mcs/common/rng.hpp"
@@ -56,6 +58,26 @@ inline Network random_network(const RandomNetworkSpec& spec) {
     net.create_po(pool[idx] ^ rng.next_bool());
   }
   return net;
+}
+
+/// Proves every choice member of \p net equal to its representative, in
+/// the member's phase, with check_signals_equivalent.  Whole-network CEC
+/// never reaches members (they hang off no PO cone), so this is the formal
+/// check of a choice network's classes.
+inline ::testing::AssertionResult choices_proven(const Network& net) {
+  for (NodeId n = 0; n < net.size(); ++n) {
+    if (!net.has_choice(n)) continue;
+    for (NodeId m = net.node(n).next_choice; m != kNullNode;
+         m = net.node(m).next_choice) {
+      const Signal member(m, net.node(m).choice_phase);
+      if (check_signals_equivalent(net, Signal(n, false), member) !=
+          CecResult::kEquivalent) {
+        return ::testing::AssertionFailure()
+               << "member " << m << " of class " << n << " is not proven";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 /// Encodes only the transitive fanin cones of \p roots (fanin edges; choice

@@ -10,7 +10,6 @@
 #include "mcs/network/convert.hpp"
 #include "mcs/network/network_utils.hpp"
 #include "mcs/sat/cec.hpp"
-#include "mcs/sim/simulator.hpp"
 #include "test_util.hpp"
 
 namespace mcs {

@@ -1,9 +1,11 @@
 #include "mcs/choice/mch.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "mcs/cut/enumeration.hpp"
 #include "mcs/network/network_utils.hpp"
+#include "mcs/obs/obs.hpp"
 
 namespace mcs {
 
@@ -38,8 +40,10 @@ std::vector<bool> collect_critical_nodes(const Network& net, double ratio) {
 
 namespace {
 
-/// Attempts to attach the candidate rooted at \p cand as a choice of \p n.
-void try_attach(Network& net, NodeId n, Signal cand, MchStats& stats) {
+/// Attempts to attach the candidate rooted at \p cand, synthesized over
+/// \p leaves, as a choice of \p n.
+void try_attach(Network& net, NodeId n, Signal cand,
+                std::span<const Signal> leaves, MchStats& stats) {
   ++stats.num_candidates_tried;
   const NodeId c = cand.node();
   if (c == n) {
@@ -54,7 +58,8 @@ void try_attach(Network& net, NodeId n, Signal cand, MchStats& stats) {
   }
   if (!net.is_repr(n)) return;
   // Acyclicity guard: n must not be a dependency of the candidate cone.
-  if (choice_reaches(net, c, n)) {
+  // The leaves lie in n's fanin cone, so the walk stops at them.
+  if (choice_reaches(net, c, n, leaves)) {
     ++stats.num_rejected_cycle;
     return;
   }
@@ -77,6 +82,7 @@ int class_size(const Network& net, NodeId repr) {
 
 Network build_mch(const Network& input, const MchParams& params,
                   MchStats* stats_out) {
+  obs::Span span("mch:build");
   MchStats stats;
 
   // Line 1 of Algorithm 1: one-to-one mapping into the (mixed) network that
@@ -121,7 +127,7 @@ Network build_mch(const Network& input, const MchParams& params,
         const auto cand =
             strategy->synthesize(net, params.candidate_basis, f, leaves);
         if (!cand) continue;
-        try_attach(net, n, *cand, stats);
+        try_attach(net, n, *cand, leaves, stats);
       }
     };
 
@@ -161,6 +167,20 @@ Network build_mch(const Network& input, const MchParams& params,
       }
     }
   }
+
+  // One flush per call, as CutEnumerator::run does for cut.*.
+  static obs::Counter& critical_nodes = obs::counter("mch.critical_nodes");
+  static obs::Counter& tried = obs::counter("mch.candidates_tried");
+  static obs::Counter& added = obs::counter("mch.choices_added");
+  static obs::Counter& rejected_cycle = obs::counter("mch.rejected_cycle");
+  static obs::Counter& rejected_class = obs::counter("mch.rejected_class");
+  static obs::Counter& rejected_cap = obs::counter("mch.rejected_cap");
+  critical_nodes.add(stats.num_critical_nodes);
+  tried.add(stats.num_candidates_tried);
+  added.add(stats.num_choices_added);
+  rejected_cycle.add(stats.num_rejected_cycle);
+  rejected_class.add(stats.num_rejected_class);
+  rejected_cap.add(stats.num_rejected_cap);
 
   if (stats_out) *stats_out = stats;
   return net;

@@ -139,9 +139,12 @@ bool reaches(const Network& net, NodeId from, NodeId target) {
   return false;
 }
 
-bool choice_reaches(const Network& net, NodeId from, NodeId target) {
+bool choice_reaches(const Network& net, NodeId from, NodeId target,
+                    std::span<const Signal> known_not_reaching) {
   if (from == target) return true;
   net.new_traversal();
+  for (const Signal s : known_not_reaching) net.mark(s.node());
+  if (net.marked(from)) return false;
   std::vector<NodeId> stack{from};
   net.mark(from);
   auto push = [&](NodeId c) -> bool {

@@ -3,6 +3,7 @@
 
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "mcs/network/network.hpp"
@@ -49,7 +50,14 @@ bool reaches(const Network& net, NodeId from, NodeId target);
 /// safe exactly when this returns false -- it is the acyclicity guard of
 /// the MCH construction (paper, Sec. III-A: candidates must not create
 /// covering cycles).
-bool choice_reaches(const Network& net, NodeId from, NodeId target);
+///
+/// \p known_not_reaching bounds the walk: its nodes are marked visited
+/// before it starts, so it stops at them, and a \p from among them returns
+/// false at once.  \pre Each of these nodes lies in \p target's fanin cone
+/// and the choice network is acyclic, so none of them can reach \p target.
+/// MCH passes the cut or MFFC leaves a candidate was synthesized over.
+bool choice_reaches(const Network& net, NodeId from, NodeId target,
+                    std::span<const Signal> known_not_reaching = {});
 
 /// A fanout-free cone rooted at some node.
 struct Cone {

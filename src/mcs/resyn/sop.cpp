@@ -56,9 +56,53 @@ std::vector<Cube> isop_rec(const TruthTable& lower, const TruthTable& upper,
   return result;
 }
 
+/// isop_rec on replicated single words (functions of <= 6 variables): the
+/// same recursion and cube order, with no allocation but the cube list.
+/// Cubes go to \p out (g0, then g1, then g*); returns the cover's function.
+Tt6 isop6_rec(Tt6 lower, Tt6 upper, int var, std::vector<Cube>& out) {
+  if (lower == 0) return 0;
+  if (upper == ~0ull) {
+    out.push_back(Cube{});
+    return ~0ull;
+  }
+  assert(var >= 0 && "ISOP: bounds are inconsistent");
+  while (var >= 0 && !tt6_has_var(lower, var) && !tt6_has_var(upper, var)) {
+    --var;
+  }
+  assert(var >= 0);
+
+  const Tt6 l0 = tt6_cofactor0(lower, var);
+  const Tt6 l1 = tt6_cofactor1(lower, var);
+  const Tt6 u0 = tt6_cofactor0(upper, var);
+  const Tt6 u1 = tt6_cofactor1(upper, var);
+
+  const std::size_t begin0 = out.size();
+  const Tt6 cover0 = isop6_rec(l0 & ~u1, u0, var - 1, out);
+  const std::size_t begin1 = out.size();
+  const Tt6 cover1 = isop6_rec(l1 & ~u0, u1, var - 1, out);
+  const std::size_t end1 = out.size();
+  const Tt6 cover_star =
+      isop6_rec((l0 & ~cover0) | (l1 & ~cover1), u0 & u1, var - 1, out);
+
+  const std::uint32_t bit = 1u << var;
+  for (std::size_t i = begin0; i < end1; ++i) out[i].mask |= bit;
+  for (std::size_t i = begin1; i < end1; ++i) out[i].polarity |= bit;
+
+  const Tt6 xv = tt6_var(var);
+  return (~xv & cover0) | (xv & cover1) | cover_star;
+}
+
 }  // namespace
 
 std::vector<Cube> compute_isop(const TruthTable& f) {
+  if (f.num_vars() <= kTt6MaxVars) {
+    const Tt6 t = f.to_tt6();
+    std::vector<Cube> cubes;
+    [[maybe_unused]] const Tt6 cover =
+        isop6_rec(t, t, f.num_vars() - 1, cubes);
+    assert(cover == t && "ISOP must cover the function exactly");
+    return cubes;
+  }
   TruthTable cover;
   auto cubes = isop_rec(f, f, f.num_vars(), f.num_vars() - 1, cover);
   assert(cover == f && "ISOP must cover the function exactly");

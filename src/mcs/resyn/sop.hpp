@@ -31,7 +31,9 @@ struct Cube {
 };
 
 /// Computes an irredundant sum of products covering exactly \p f
-/// (Minato-Morreale ISOP over (f, f)).
+/// (Minato-Morreale ISOP over (f, f)).  Functions of <= 6 variables run
+/// the recursion on single 64-bit words (Tt6); larger ones on TruthTables.
+/// Both paths return the same cubes in the same order.
 std::vector<Cube> compute_isop(const TruthTable& f);
 
 /// Evaluates a cube list back to a truth table (test oracle and cover

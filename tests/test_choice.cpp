@@ -7,8 +7,11 @@
 
 #include "mcs/choice/dch.hpp"
 #include "mcs/choice/mch.hpp"
+#include "mcs/circuits/circuits.hpp"
+#include "mcs/cut/enumeration.hpp"
 #include "mcs/network/convert.hpp"
 #include "mcs/network/network_utils.hpp"
+#include "mcs/obs/obs.hpp"
 #include "mcs/sat/cec.hpp"
 #include "test_util.hpp"
 
@@ -178,6 +181,192 @@ TEST(Dch, RandomNetworkWithRestructuredSnapshot) {
   EXPECT_TRUE(testing::choices_proven(dch));
   expect_choice_order_valid(dch);
 }
+
+/// The nodes that depend directly on each node under choice_reaches's
+/// relation: a gate on its fanins, a representative on its members.
+std::vector<std::vector<NodeId>> dependents(const Network& net) {
+  std::vector<std::vector<NodeId>> users(net.size());
+  for (NodeId x = 0; x < net.size(); ++x) {
+    const Node& nd = net.node(x);
+    for (int i = 0; i < nd.num_fanins; ++i) {
+      users[nd.fanin[i].node()].push_back(x);
+    }
+    if (!net.is_repr(x)) continue;
+    for (NodeId m = nd.next_choice; m != kNullNode;
+         m = net.node(m).next_choice) {
+      users[m].push_back(x);
+    }
+  }
+  return users;
+}
+
+/// Marks every node from which \p target is reachable, by a breadth-first
+/// sweep over the reversed edges: an oracle that shares no code with
+/// choice_reaches.
+std::vector<char> reaching(const std::vector<std::vector<NodeId>>& users,
+                           NodeId target) {
+  std::vector<char> reached(users.size(), 0);
+  std::vector<NodeId> queue{target};
+  reached[target] = 1;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    for (const NodeId u : users[queue[head]]) {
+      if (!reached[u]) {
+        reached[u] = 1;
+        queue.push_back(u);
+      }
+    }
+  }
+  return reached;
+}
+
+/// For every representative gate n and every non-trivial 4-cut of n, the
+/// walk bounded by the cut leaves must agree with the unbounded walk and
+/// with the reaching() oracle, on n itself, the leaves, up to four nodes of n's
+/// fanout cone and four other nodes.
+::testing::AssertionResult bounded_guard_agrees(const Network& net,
+                                                std::uint64_t seed) {
+  // Ascending ids put fanins first, so this enumerates every node's cuts
+  // over its fanin cone, choice members and their cones included.
+  std::vector<NodeId> order(net.size());
+  for (NodeId x = 0; x < net.size(); ++x) order[x] = x;
+  CutEnumerator cuts(net, {.cut_size = 4, .cut_limit = 8});
+  cuts.run(order);
+  const auto users = dependents(net);
+  Rng rng(seed);
+  std::size_t checks = 0;
+  for (NodeId n = 0; n < net.size(); ++n) {
+    if (!net.is_gate(n) || !net.is_repr(n)) continue;
+    const std::vector<char> reaches_n = reaching(users, n);
+    std::vector<NodeId> cone;
+    for (NodeId x = 0; x < net.size(); ++x) {
+      if (reaches_n[x] && x != n) cone.push_back(x);
+    }
+    for (const Cut& cut : cuts.cuts(n)) {
+      if (cut.is_trivial()) continue;
+      std::vector<Signal> leaves;
+      for (int i = 0; i < cut.size; ++i) {
+        leaves.emplace_back(cut.leaves[i], false);
+      }
+      std::vector<NodeId> sample{n};
+      for (const Signal l : leaves) sample.push_back(l.node());
+      for (int i = 0; i < 4 && !cone.empty(); ++i) {
+        sample.push_back(cone[rng.next_below(cone.size())]);
+      }
+      for (int i = 0; i < 4; ++i) {
+        sample.push_back(static_cast<NodeId>(rng.next_below(net.size())));
+      }
+      for (const NodeId c : sample) {
+        const bool bounded = choice_reaches(net, c, n, leaves);
+        const bool full = choice_reaches(net, c, n);
+        ++checks;
+        if (bounded != full || full != static_cast<bool>(reaches_n[c])) {
+          return ::testing::AssertionFailure()
+                 << "from " << c << " to " << n << ": bounded " << bounded
+                 << ", unbounded " << full << ", oracle " << int(reaches_n[c]);
+        }
+      }
+    }
+  }
+  if (checks == 0) return ::testing::AssertionFailure() << "nothing checked";
+  return ::testing::AssertionSuccess() << checks << " walks agree";
+}
+
+TEST(ChoiceReaches, BoundedWalkMatchesUnboundedOnMchOutputs) {
+  for (const GateBasis basis : {GateBasis::aig(), GateBasis::xmg()}) {
+    for (const std::uint64_t seed : {31, 32, 33}) {
+      const Network input = testing::random_network({.num_pis = 7,
+                                                     .num_gates = 90,
+                                                     .num_pos = 5,
+                                                     .basis = basis,
+                                                     .seed = seed});
+      MchParams params;
+      params.candidate_basis = basis;
+      const Network mch = build_mch(input, params);
+      ASSERT_GT(mch.num_choices(), 0u);
+      EXPECT_TRUE(bounded_guard_agrees(mch, seed)) << basis.name() << seed;
+      EXPECT_TRUE(testing::choices_proven(mch)) << basis.name() << seed;
+    }
+  }
+}
+
+TEST(ChoiceReaches, BoundedWalkMatchesUnboundedOverInheritedClasses) {
+  // DCH classes first, then MCH candidates stacked on them.
+  const Network base = testing::random_network({.num_pis = 6,
+                                                .num_gates = 60,
+                                                .num_pos = 4,
+                                                .basis = GateBasis::xmg(),
+                                                .seed = 37});
+  const Network dch = build_dch({base, expand_to_aig(base)}, {});
+  ASSERT_GT(dch.num_choices(), 0u);
+  const Network mch = build_mch(dch, {});
+  ASSERT_GT(mch.num_choices(), dch.num_choices());
+  EXPECT_TRUE(bounded_guard_agrees(mch, 37));
+  EXPECT_TRUE(testing::choices_proven(mch));
+}
+
+TEST(ChoiceReaches, BoundedWalkMatchesUnboundedOnSuiteCircuits) {
+  const Network inputs[] = {expand_to_aig(circuits::multiplier(5)),
+                            expand_to_aig(circuits::ctrl_like())};
+  for (const Network& input : inputs) {
+    const Network mch = build_mch(input, {});
+    ASSERT_GT(mch.num_choices(), 0u);
+    EXPECT_TRUE(bounded_guard_agrees(mch, 41));
+    EXPECT_TRUE(testing::choices_proven(mch));
+  }
+}
+
+TEST(ChoiceReaches, WalkStopsAtKnownNodes) {
+  // n = ((a & b) & c) & d over the cut {a & b, c, d}; cand = (a & b) ^ c
+  // is built over two of those leaves.
+  Network net;
+  const Signal a = net.create_pi();
+  const Signal b = net.create_pi();
+  const Signal c = net.create_pi();
+  const Signal d = net.create_pi();
+  const Signal ab = net.create_and(a, b);
+  const Signal n = net.create_and(net.create_and(ab, c), d);
+  const Signal cand = net.create_xor(ab, c);
+  net.create_po(n);
+  const std::vector<Signal> leaves{ab, c, d};
+  // The walk from the candidate stops at a & b: its fanins stay unvisited.
+  EXPECT_FALSE(choice_reaches(net, cand.node(), n.node(), leaves));
+  EXPECT_FALSE(net.marked(a.node()));
+  EXPECT_FALSE(net.marked(b.node()));
+  // A candidate that is one of the leaves returns without walking.
+  EXPECT_FALSE(choice_reaches(net, ab.node(), n.node(), leaves));
+  EXPECT_FALSE(net.marked(a.node()));
+  EXPECT_FALSE(net.marked(b.node()));
+  // The unbounded walk goes down to the PIs.
+  EXPECT_FALSE(choice_reaches(net, cand.node(), n.node()));
+  EXPECT_TRUE(net.marked(a.node()));
+  EXPECT_TRUE(choice_reaches(net, n.node(), n.node(), leaves));
+}
+
+#ifndef MCS_OBS_DISABLE  // counters are no-op stubs in the disabled build
+TEST(Mch, CountersAddTheReturnedStats) {
+  const auto input = testing::random_network(
+      {.num_pis = 8, .num_gates = 120, .num_pos = 6, .seed = 43});
+  const char* names[] = {"mch.critical_nodes", "mch.candidates_tried",
+                         "mch.choices_added",  "mch.rejected_cycle",
+                         "mch.rejected_class", "mch.rejected_cap"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : names) before.push_back(obs::counter(name).value());
+  MchParams params;
+  params.max_choices_per_node = 2;  // so the cap counter moves too
+  MchStats stats;
+  build_mch(input, params, &stats);
+  const std::size_t expected[] = {
+      stats.num_critical_nodes, stats.num_candidates_tried,
+      stats.num_choices_added,  stats.num_rejected_cycle,
+      stats.num_rejected_class, stats.num_rejected_cap};
+  for (std::size_t i = 0; i < std::size(names); ++i) {
+    EXPECT_EQ(obs::counter(names[i]).value() - before[i], expected[i])
+        << names[i];
+  }
+  EXPECT_GT(stats.num_choices_added, 0u);
+  EXPECT_GT(stats.num_rejected_cap, 0u);
+}
+#endif
 
 TEST(Convert, BasisRoundTripsPreserveFunction) {
   const auto net = testing::random_network({.num_pis = 6,

@@ -104,9 +104,12 @@ TEST(Sweep, MergesDuplicatedStructure) {
   EXPECT_EQ(check_equivalence(net, sw), CecResult::kEquivalent);
 }
 
-TEST(Resub, RecoversSharedSubexpressions) {
-  // f = (a&b)&c and g = (a&b)^d computed without sharing the a&b term:
-  // resubstitution re-expresses one of them over the other's divisors.
+TEST(Resub, LeavesUnsharedAndXorLogicUnchanged) {
+  // f = (a&c)&b and g = ((a&b)&a)^d compute a&b without sharing it.  Only
+  // AND/XOR nodes: every node's first divisor pair is its own fanins, so
+  // its first candidate is its own gate and resub replaces nothing.  Once
+  // divisor_window draws divisors from outside the MFFC (ROADMAP F), resub
+  // should share a&b here, and this test should expect fewer gates.
   Network net;
   const Signal a = net.create_pi();
   const Signal b = net.create_pi();
@@ -117,9 +120,15 @@ TEST(Resub, RecoversSharedSubexpressions) {
   const Signal g = net.create_xor(net.create_and(net.create_and(a, b), a), d);
   net.create_po(f);
   net.create_po(g);
+#ifndef MCS_OBS_DISABLE  // counters are no-op stubs in the disabled build
+  const std::uint64_t replaced_before =
+      obs::counter("opt.resub.replaced").value();
+#endif
   const Network rs = resub(net);
-  EXPECT_LE(rs.num_gates(), net.num_gates());
-  EXPECT_EQ(check_equivalence(net, rs), CecResult::kEquivalent);
+  EXPECT_TRUE(structurally_identical(rs, cleanup(net)));
+#ifndef MCS_OBS_DISABLE
+  EXPECT_EQ(obs::counter("opt.resub.replaced").value(), replaced_before);
+#endif
 }
 
 TEST(Resub, PreservesFunctionOnSuiteCircuit) {

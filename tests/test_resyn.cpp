@@ -95,7 +95,8 @@ TEST_P(IsopRoundTrip, CoversExactly) {
 TEST_P(IsopRoundTrip, IsIrredundant) {
   Rng rng(GetParam() + 50);
   for (int iter = 0; iter < 20; ++iter) {
-    const int n = 1 + static_cast<int>(rng.next_below(6));
+    // Up to 7 variables, so both the word and the TruthTable paths run.
+    const int n = 1 + static_cast<int>(rng.next_below(7));
     const TruthTable f = random_tt(n, rng);
     const auto cubes = compute_isop(f);
     // Removing any single cube must lose coverage.
@@ -111,6 +112,45 @@ TEST_P(IsopRoundTrip, IsIrredundant) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IsopRoundTrip, ::testing::Values(1, 2, 3));
+
+/// \p f (at most 6 variables) as a 7-variable function that ignores x6,
+/// so compute_isop takes the TruthTable path and skips x6.
+TruthTable embed_in_7_vars(const TruthTable& f) {
+  TruthTable g(7);
+  for (auto& w : g.words()) w = f.to_tt6();
+  return g;
+}
+
+/// The word ISOP must return the TruthTable recursion's cubes in order.
+::testing::AssertionResult isop_matches_oracle(const TruthTable& f) {
+  const auto word = compute_isop(f);
+  const auto oracle = compute_isop(embed_in_7_vars(f));
+  if (word == oracle) return ::testing::AssertionSuccess();
+  ::testing::Message msg;  // one stream, so std::hex holds for the word
+  msg << f.num_vars() << "-input function 0x" << std::hex << f.to_tt6()
+      << std::dec << ": " << word.size() << " word cubes, " << oracle.size()
+      << " oracle cubes";
+  return ::testing::AssertionFailure() << msg;
+}
+
+TEST(Isop, WordPathMatchesTruthTableRecursion) {
+  for (int n = 0; n <= 1; ++n) {
+    for (const bool value : {false, true}) {
+      EXPECT_TRUE(isop_matches_oracle(TruthTable::constant(value, n)));
+    }
+  }
+  EXPECT_TRUE(isop_matches_oracle(TruthTable::projection(0, 1)));
+  EXPECT_TRUE(isop_matches_oracle(~TruthTable::projection(0, 1)));
+  for (std::uint32_t t = 0; t < (1u << 16); ++t) {
+    const TruthTable f = TruthTable::from_tt6(t, 4);
+    ASSERT_TRUE(isop_matches_oracle(f));
+  }
+  Rng rng(2024);
+  for (int iter = 0; iter < 20000; ++iter) {
+    const TruthTable f = random_tt(5 + iter % 2, rng);
+    ASSERT_TRUE(isop_matches_oracle(f));
+  }
+}
 
 TEST(Isop, SpecialFunctions) {
   EXPECT_TRUE(compute_isop(TruthTable::constant(false, 4)).empty());
